@@ -5,7 +5,7 @@ key=value as alternatives), seeded randomness, and an opt-in on-disk cache
 for generator sets (--cache-dir, falling back to GAMMA0_CACHE_DIR).
 
 Exit codes: 0 all checks passed, 1 a check failed or an identity was
-violated, 2 usage error.
+violated, 2 usage error or invalid input (one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -26,7 +26,13 @@ from .charformula import (
     sigma_matrix,
 )
 from .dirichlet import character_from_id, divisors, enumerate_characters, unit_group_structure
-from .exact import dedekind_sum, dedekind_sum_fast, fraction_to_str, integer_rank
+from .exact import (
+    dedekind_sum,
+    dedekind_sum_fast,
+    fraction_from_str,
+    fraction_to_str,
+    integer_rank,
+)
 from .farey import generator_set_to_json, generators, set_default_cache_dir
 from .sl2 import Gamma0Element, UniModular, psi, sigma
 
@@ -51,8 +57,10 @@ def _parse_rl(text: str) -> dict[int, Fraction]:
         return out
     for item in text.split(","):
         key, _, value = item.partition("=")
-        num, _, den = value.partition("/")
-        out[int(key)] = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        try:
+            out[int(key)] = fraction_from_str(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--rl item {item!r} is not l=p/q with q nonzero") from None
     return out
 
 
@@ -195,10 +203,9 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     if args.command == "beta":
         if args.l is not None:
             return {"level": args.level, "l": args.l, "beta": beta(args.level, args.l)}, 0
-        return {
-            "level": args.level,
-            "beta": {str(l): beta(args.level, l) for l in divisors(args.level) if l > 1},
-        }, 0
+        # the sigma matrix rejects levels below 2 and has one column per l
+        cols = sigma_matrix(args.level).cols
+        return {"level": args.level, "beta": {str(l): beta(args.level, l) for l in cols}}, 0
 
     if args.command == "rank":
         mat = sigma_matrix(args.level)

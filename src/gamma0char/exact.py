@@ -30,7 +30,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     ``dedekind_sum_fast``.
     """
     _check_dedekind_args(h, k)
-    return Fraction(*kernels.dedekind_naive_pair(h, k))
+    return Fraction(*kernels.dedekind_naive(h, k))
 
 
 def dedekind_sum_fast(h: int, k: int) -> Fraction:
@@ -39,7 +39,7 @@ def dedekind_sum_fast(h: int, k: int) -> Fraction:
     Same domain and same values as ``dedekind_sum`` on every input.
     """
     _check_dedekind_args(h, k)
-    return Fraction(*kernels.dedekind_fast_pair(h, k))
+    return Fraction(*kernels.dedekind_fast(h, k))
 
 
 def gcd_all(xs) -> int:

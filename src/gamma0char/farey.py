@@ -266,13 +266,18 @@ def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
     """Generator set for Gamma0(N), memoized in process and optionally on disk."""
     cache_dir = cache_dir or _default_cache_dir
     gens = _memo.get(n)
-    if gens is None and cache_dir:
+    if gens is not None:
+        if cache_dir and not os.path.exists(_cache_path(cache_dir, n)):
+            save_cached_generators(gens, cache_dir)
+        return gens
+    if cache_dir:
         gens = load_cached_generators(n, cache_dir)
     if gens is None:
+        # a missing or corrupt cache file is a miss: rebuild and rewrite it
         gens = build_generators(n)
+        if cache_dir:
+            save_cached_generators(gens, cache_dir)
     _memo[n] = gens
-    if cache_dir and not os.path.exists(_cache_path(cache_dir, n)):
-        save_cached_generators(gens, cache_dir)
     return gens
 
 
@@ -301,12 +306,17 @@ def generator_set_to_json(gens: GeneratorSet) -> dict:
 
 def generator_set_from_json(doc: dict) -> GeneratorSet:
     n = doc["level"]
+    if type(n) is not int:
+        raise ValueError(f"cache level must be an integer, got {n!r}")
     if doc.get("farey") is None:
         gens = build_generators(n)
     else:
+        vertices = tuple(tuple(v) for v in doc["farey"]["vertices"])
+        if not all(type(x) is int for v in vertices for x in v):
+            raise ValueError(f"cache for level {n} has non-integer vertices")
         symbol = FareySymbol(
             n,
-            tuple(tuple(v) for v in doc["farey"]["vertices"]),
+            vertices,
             tuple(tuple(label) for label in doc["farey"]["pairings"]),
         )
         gens = _extract_generators(symbol)
@@ -326,13 +336,15 @@ def save_cached_generators(gens: GeneratorSet, cache_dir: str) -> None:
 
 
 def load_cached_generators(n: int, cache_dir: str) -> GeneratorSet | None:
+    """The cached generator set for level n, or None when the file is missing
+    or fails any of the checks in ``generator_set_from_json``."""
     path = _cache_path(cache_dir, n)
     try:
         with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError):
+            gens = generator_set_from_json(json.load(handle))
+    except (OSError, ValueError, LookupError, TypeError, RuntimeError):
         return None
-    return generator_set_from_json(doc)
+    return gens if gens.level == n else None
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,19 @@ def test_invalid_matrix_exit_code(capsys):
     assert info.value.code == 2
 
 
+def test_bad_input_exits_two_with_one_line(capsys):
+    for argv in (
+        ["eval-char", "--level", "7", "--rl", "7=1/0", "--matrix", "-2,1,-7,3"],
+        ["beta", "--level", "1"],
+        ["rank", "--level", "1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 def test_failed_check_exits_one(capsys, monkeypatch):
     from gamma0char import cli
 

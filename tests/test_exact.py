@@ -38,6 +38,9 @@ def test_dedekind_fast_matches_naive_examples():
     assert dedekind_sum_fast(1, 3) == Fraction(1, 18)
     assert dedekind_sum_fast(0, 1) == 0
     assert dedekind_sum_fast(5, 12) == dedekind_sum(5, 12) == oracle_dedekind(5, 12)
+    # either side of the naive sum's vectorised limit k <= 10**6
+    for k in (10**6, 10**6 + 3):
+        assert dedekind_sum_fast(999999, k) == dedekind_sum(999999, k)
 
 
 def test_dedekind_domain_errors():
@@ -113,7 +116,7 @@ def test_denominator_divides_6k():
 
 
 def test_big_k_fast_path():
-    # past the compiled bounds: exercised through the arbitrary-precision twin
+    # far past the naive sum's range: only the descent is practical here
     k = 10**7 + 19
     h = 12345677
     assert gcd(h, k) == 1

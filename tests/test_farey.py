@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gamma0char import farey
 from gamma0char.farey import (
     EVEN,
     ODD,
@@ -262,3 +263,27 @@ def test_cache_rejects_corruption(tmp_path):
     doc["free"][1] = [1, 0, 0, 1]
     with pytest.raises(ValueError):
         generator_set_from_json(doc)
+
+
+def test_corrupt_cache_file_is_rebuilt(tmp_path):
+    expected = generator_set_to_json(build_generators(11))
+    bad_pairings = json.loads(json.dumps(expected))
+    bad_pairings["farey"]["pairings"][1] = ["free", 99]
+    float_vertices = json.loads(json.dumps(expected))
+    float_vertices["farey"]["vertices"][1] = [0.0, 1]
+    corruptions = [
+        "{\"level\": 11}",
+        "not json",
+        "[]",
+        json.dumps(bad_pairings),
+        json.dumps(float_vertices),
+        json.dumps(generator_set_to_json(build_generators(13))),
+    ]
+    path = tmp_path / "gamma0-generators-11.json"
+    for text in corruptions:
+        path.write_text(text)
+        assert load_cached_generators(11, str(tmp_path)) is None
+        farey._memo.pop(11, None)  # as in a fresh process
+        gens = generators(11, str(tmp_path))
+        assert generator_set_to_json(gens) == expected
+        assert json.loads(path.read_text()) == expected

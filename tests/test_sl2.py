@@ -50,6 +50,9 @@ def test_psi_examples():
     assert psi(UniModular(-2, 1, -7, 3)) == 2
     assert psi(UniModular(-4, 3, -7, 5)) == 2
     assert psi(NEG_I) == -6
+    # closed form psi(1, 0, c, 1) = -c, at an argument far past machine words
+    c = 10**12 + 39
+    assert psi(UniModular(1, 0, c, 1)) == -c
 
 
 def test_omega_examples():
