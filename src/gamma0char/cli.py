@@ -5,7 +5,8 @@ key=value as alternatives), seeded randomness, and an opt-in on-disk cache
 for generator sets (--cache-dir, falling back to GAMMA0_CACHE_DIR).
 
 Exit codes: 0 all checks passed, 1 a check failed or an identity was
-violated, 2 usage error or invalid input (one ``error:`` line on stderr).
+violated, 2 usage error, invalid input or an unusable cache directory (one
+``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremViolation as exc:
         emit({"ok": False, "error": "theorem-violation", "witness": str(exc)}, args.output)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -7,22 +7,25 @@ infinite-order generator per Free pair (the two vertical boundary sides are
 always a Free pair realised by the translation T), one generator squaring to
 -I per Even side, one cubing to -I per Odd side, plus -I itself.
 
-Construction is a deterministic mediant-subdivision loop: a side survives
-when it admits an Even, Odd, or Free pairing inside the group (membership is
-a congruence on the vertex denominators), otherwise the leftmost unpairable
-side is subdivided at its mediant and the scan restarts.  Word decomposition
-walks an element's image of the infinite cusp back into the base polygon,
-crossing one paired side at a time.
+Construction subdivides sides at their mediants, breadth first: of the sides
+still open, the one whose mediant has the smallest denominator is split next,
+so no vertex denominator exceeds the level.  Each new side is labelled once,
+when it is created: Even or Odd by a congruence on its two denominators,
+otherwise Free with an open side at the partner point of P^1(Z/NZ).  Word
+decomposition walks an element's image of the infinite cusp back into the
+base polygon, crossing one paired side at a time.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .dirichlet import factorize
 from .sl2 import I, NEG_I, S, T, Gamma0Element, UniModular
@@ -109,52 +112,104 @@ class FareySymbol:
         return r, e2, e3
 
 
-def farey_symbol(n: int, variant: str = "leftmost") -> FareySymbol:
-    """Build a Farey symbol for level n >= 2 by mediant subdivision.
+def _p1_point(c: int, d: int, n: int, units: bytes) -> tuple[int, int]:
+    """Normalised representative of (c : d) in P^1(Z/nZ), for gcd(c, d) = 1.
 
-    ``variant`` picks which unpairable side is subdivided ("leftmost" or
-    "rightmost"); both produce valid symbols, which the tests exploit to
-    check that derived quantities do not depend on the generator set.
+    A unit scales c to g = gcd(c, n); the units fixing g are those congruent
+    to 1 mod n/g, and the least residue they make of d is taken (Cremona,
+    *Algorithms for Modular Elliptic Curves*, section 2.2).  ``units[t]`` is
+    true when t is a unit mod n.
+    """
+    c %= n
+    if c == 0:
+        return 0, 1
+    g = gcd(c, n)
+    step = n // g
+    s = pow(c // g, -1, step)
+    while not units[s]:
+        s += step
+    d = d * s % n
+    best, shift = d, d * step % n
+    for t in range(1 + step, n, step):
+        d = (d + shift) % n
+        if d < best and units[t]:
+            best = d
+    return g, best
+
+
+def farey_symbol(n: int) -> FareySymbol:
+    """Build a Farey symbol for level n >= 2 by breadth-first mediant subdivision.
+
+    Open sides wait in a heap keyed by their mediant (denominator, then
+    numerator), and the smallest is subdivided next.  The two sides a
+    subdivision creates are labelled at once: a side with denominators
+    (b, d) is Even iff b^2 + d^2 = 0 and Odd iff b^2 + bd + d^2 = 0 (mod n);
+    otherwise it pairs freely with an open side at the point (d : -b) of
+    P^1(Z/nZ), looked up by normalised point, or stays open.  The vertex chain
+    is read off the subdivision tree in order.  Raises RuntimeError if a
+    vertex denominator would exceed n.
     """
     if n < 2:
         raise ValueError("levels below 2 have no Farey symbol here; see generators()")
-    if variant not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown variant {variant!r}")
-    verts: list[tuple[int, int]] = [(-1, 0), (0, 1), (1, 1), (1, 0)]
-    # labels[i] describes the side (verts[i], verts[i+1]); the two boundary
-    # sides form free pair 0 (realised by T) from the start.
-    labels: list[tuple | None] = [("free", 0), None, ("free", 0)]
+    units = bytes(gcd(t, n) == 1 for t in range(n))
+    # side s joins ends[s]; a subdivided side has its two halves in
+    # children[s], a final one its label in labels[s]
+    ends: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    labels: list[tuple | None] = []
+    children: dict[int, tuple[int, int]] = {}
+    waiting: dict[tuple[int, int], list[int]] = {}  # partner point -> open sides
+    open_at: dict[int, tuple[int, int]] = {}  # open side -> its key in waiting
+    heap: list[tuple[int, int, int]] = []
     next_pair = 1
-    for _ in range(100000):
-        # label even and odd sides
-        for i in range(1, len(labels) - 1):
-            if labels[i] is None:
-                b, d = verts[i][1], verts[i + 1][1]
-                if (b * b + d * d) % n == 0:
-                    labels[i] = EVEN
-                elif (b * b + b * d + d * d) % n == 0:
-                    labels[i] = ODD
-        # match free pairs, leftmost partner first
-        unpaired = [i for i in range(1, len(labels) - 1) if labels[i] is None]
-        for pos, i in enumerate(unpaired):
-            if labels[i] is not None:
-                continue
-            for j in unpaired[pos + 1 :]:
-                if labels[j] is not None:
-                    continue
-                if (verts[i][1] * verts[j][1] + verts[i + 1][1] * verts[j + 1][1]) % n == 0:
-                    labels[i] = labels[j] = ("free", next_pair)
-                    next_pair += 1
-                    break
-        remaining = [i for i in range(1, len(labels) - 1) if labels[i] is None]
-        if not remaining:
-            return FareySymbol(n, tuple(verts), tuple(labels))
-        # subdivide one unpairable side at its mediant
-        k = remaining[0] if variant == "leftmost" else remaining[-1]
-        (p1, q1), (p2, q2) = verts[k], verts[k + 1]
-        verts.insert(k + 1, (p1 + p2, q1 + q2))
-        labels[k : k + 1] = [None, None]
-    raise RuntimeError(f"Farey symbol construction did not terminate for level {n}")
+
+    def new_side(v_left: tuple[int, int], v_right: tuple[int, int]) -> int:
+        nonlocal next_pair
+        s = len(labels)
+        ends.append((v_left, v_right))
+        labels.append(None)
+        b, d = v_left[1], v_right[1]
+        if (b * b + d * d) % n == 0:
+            labels[s] = EVEN
+        elif (b * b + b * d + d * d) % n == 0:
+            labels[s] = ODD
+        else:
+            partners = waiting.get(_p1_point(b, d, n, units))
+            if partners:
+                t = partners.pop(0)
+                del open_at[t]
+                labels[s] = labels[t] = ("free", next_pair)
+                next_pair += 1
+            else:
+                key = _p1_point(d, -b, n, units)
+                waiting.setdefault(key, []).append(s)
+                open_at[s] = key
+                heapq.heappush(heap, (b + d, v_left[0] + v_right[0], s))
+        return s
+
+    new_side((0, 1), (1, 1))
+    while heap:
+        q, p, s = heapq.heappop(heap)
+        key = open_at.pop(s, None)
+        if key is None:
+            continue  # paired after it was queued
+        if q > n:
+            raise RuntimeError(f"level {n}: vertex denominator {q} exceeds the level")
+        waiting[key].remove(s)
+        v_left, v_right = ends[s]
+        children[s] = (new_side(v_left, (p, q)), new_side((p, q), v_right))
+    verts: list[tuple[int, int]] = [(-1, 0)]
+    pairings: list[tuple] = [("free", 0)]  # the boundary pair, realised by T
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        if s in children:
+            stack.extend(reversed(children[s]))
+        else:
+            verts.append(ends[s][0])
+            pairings.append(labels[s])
+    verts += [(1, 1), (1, 0)]
+    pairings.append(("free", 0))
+    return FareySymbol(n, tuple(verts), tuple(pairings))
 
 
 # Crossing rules per side, used by the cusp walk in decompose():
@@ -253,13 +308,13 @@ def set_default_cache_dir(path: str | None) -> None:
     _default_cache_dir = path
 
 
-def build_generators(n: int, variant: str = "leftmost") -> GeneratorSet:
+def build_generators(n: int) -> GeneratorSet:
     """Construct the generator set from scratch (no caches consulted)."""
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
     if n == 1:
         return GeneratorSet(1, (), (S,), (S * T,), None, ())
-    return _extract_generators(farey_symbol(n, variant))
+    return _extract_generators(farey_symbol(n))
 
 
 def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
@@ -284,12 +339,18 @@ def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
 # ---------------------------------------------------------------------------
 # disk cache (whole-file JSON per level, last-writer-wins)
 
+# Version of the Farey construction a cache file was written by; a file from
+# any other construction is a miss, so one cache never mixes two of them.
+CONSTRUCTION = 2
+
+
 def _cache_path(cache_dir: str, n: int) -> str:
     return os.path.join(cache_dir, f"gamma0-generators-{n}.json")
 
 
 def generator_set_to_json(gens: GeneratorSet) -> dict:
     doc = {
+        "construction": CONSTRUCTION,
         "level": gens.level,
         "free": [list(g.entries()) for g in gens.free],
         "elliptic2": [list(g.entries()) for g in gens.elliptic2],
@@ -305,6 +366,8 @@ def generator_set_to_json(gens: GeneratorSet) -> dict:
 
 
 def generator_set_from_json(doc: dict) -> GeneratorSet:
+    if not isinstance(doc, dict) or doc.get("construction") != CONSTRUCTION:
+        raise ValueError(f"cache document is not from construction {CONSTRUCTION}")
     n = doc["level"]
     if type(n) is not int:
         raise ValueError(f"cache level must be an integer, got {n!r}")

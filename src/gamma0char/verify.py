@@ -278,8 +278,14 @@ def verify_conjecture3(max_n: int) -> dict:
     }
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def verify_prop21(trials: int, seed: int) -> dict:
     """The composition law psi(xy) = psi(x) + psi(y) + omega(x, y) on random words."""
+    _check_trials(trials)
     rng = Random(seed)
     case_hits = {12: 0, 0: 0, -12: 0}
     for _ in range(trials):
@@ -304,6 +310,7 @@ def verify_prop21(trials: int, seed: int) -> dict:
 
 def verify_dedekind_identity(trials: int, seed: int, cmax: int = 10**4) -> dict:
     """Bulk run of the two-level Dedekind sum identity on random (c, d)."""
+    _check_trials(trials)
     rng = Random(seed)
     checked = 0
     for n in (2, 3, 4, 5, 7, 9, 13, 25):
@@ -316,6 +323,7 @@ def verify_dedekind_identity(trials: int, seed: int, cmax: int = 10**4) -> dict:
 
 def verify_kernel(level: int, trials: int, seed: int) -> dict:
     """Exponent-sum criterion for the kernel at a distinguished-generator level."""
+    _check_trials(trials)
     rng = Random(seed)
     gens = generators(level)
     checked = 0

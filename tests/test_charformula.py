@@ -15,7 +15,7 @@ from gamma0char.charformula import (
 )
 from gamma0char.dirichlet import divisors, enumerate_characters
 from gamma0char.exact import gcd_all
-from gamma0char.farey import build_generators, generators
+from gamma0char.farey import generators
 from gamma0char.sampling import random_gamma0
 from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, sigma
 
@@ -153,10 +153,14 @@ def test_beta_domain_errors():
 
 
 def test_beta_independent_of_generator_set():
-    for n in (6, 9, 10, 12, 24, 36):
-        fresh = build_generators(n, "rightmost")
+    # W g W^-1 with W = [[0, -1], [n, 0]] normalises Gamma0(n), so conjugating
+    # the free generators by it gives a second generating set of the image
+    for n in (6, 9, 10, 12, 24, 36, 60, 210):
+        free = generators(n).free
+        fricke = [UniModular(g.d, -(g.c // n), -n * g.b, g.a) for g in free]
+        assert fricke != list(free)
         for l in [l for l in divisors(n) if l > 1]:
-            alt = gcd_all([sigma(Gamma0Element(g, n), l) for g in fresh.free])
+            alt = gcd_all([sigma(Gamma0Element(g, n), l) for g in fricke])
             assert alt == beta(n, l)
 
 

@@ -131,11 +131,17 @@ def test_invalid_matrix_exit_code(capsys):
     assert info.value.code == 2
 
 
-def test_bad_input_exits_two_with_one_line(capsys):
+def test_bad_input_exits_two_with_one_line(capsys, tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
     for argv in (
         ["eval-char", "--level", "7", "--rl", "7=1/0", "--matrix", "-2,1,-7,3"],
         ["beta", "--level", "1"],
         ["rank", "--level", "1"],
+        ["--cache-dir", str(not_a_dir), "generators", "--level", "5"],
+        ["verify", "prop21", "--trials", "-1"],
+        ["verify", "dedekind-identity", "--trials", "0"],
+        ["verify", "kernel", "--level", "7", "--trials", "0"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -229,11 +229,36 @@ def test_sigma_additivity_through_words():
                 assert total == sigma(gamma, l)
 
 
-def test_construction_variants_agree_on_structure():
+def fricke_conjugate(g: UniModular, n: int) -> UniModular:
+    """W g W^-1 for the Fricke matrix W = [[0, -1], [n, 0]], which normalises Gamma0(n)."""
+    return UniModular(g.d, -(g.c // n), -n * g.b, g.a)
+
+
+def test_fricke_conjugate_set_is_a_generator_set():
     for n in range(2, 41):
-        a = build_generators(n, "leftmost")
-        b = build_generators(n, "rightmost")
-        assert a.counts() == b.counts()
+        gens = generators(n)
+        conj = [
+            [fricke_conjugate(g, n) for g in mats]
+            for mats in (gens.free, gens.elliptic2, gens.elliptic3)
+        ]
+        assert tuple(map(len, conj)) == gens.counts()
+        for m in conj[0] + conj[1] + conj[2]:
+            assert m.c % n == 0
+            assert m.a * m.d - m.b * m.c == 1
+        for h in conj[1]:
+            assert h * h == NEG_I
+        for h in conj[2]:
+            assert h * h * h == NEG_I
+
+
+def test_vertex_denominators_bounded_by_level():
+    for n in range(2, 1001):
+        gens = build_generators(n)
+        assert max(q for _, q in gens.symbol.vertices) <= n, n
+        r, e2, e3 = gens.counts()
+        assert r == Fraction(index_gamma0(n), 6) + 1 - Fraction(e2, 2) - Fraction(2 * e3, 3)
+        if n in TABLE1_COUNTS:
+            assert gens.counts() == TABLE1_COUNTS[n]
 
 
 def test_cache_roundtrip(tmp_path):
@@ -249,7 +274,8 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_json_schema():
     doc = generator_set_to_json(generators(10))
-    assert set(doc) == {"level", "free", "elliptic2", "elliptic3", "farey"}
+    assert set(doc) == {"construction", "level", "free", "elliptic2", "elliptic3", "farey"}
+    assert doc["construction"] == farey.CONSTRUCTION
     assert doc["level"] == 10
     assert all(len(m) == 4 for m in doc["free"])
     assert {"vertices", "pairings"} <= set(doc["farey"])
@@ -271,12 +297,16 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
     bad_pairings["farey"]["pairings"][1] = ["free", 99]
     float_vertices = json.loads(json.dumps(expected))
     float_vertices["farey"]["vertices"][1] = [0.0, 1]
+    untagged = json.loads(json.dumps(expected))
+    del untagged["construction"]
     corruptions = [
         "{\"level\": 11}",
         "not json",
         "[]",
         json.dumps(bad_pairings),
         json.dumps(float_vertices),
+        json.dumps(untagged),
+        json.dumps(dict(expected, construction=1)),
         json.dumps(generator_set_to_json(build_generators(13))),
     ]
     path = tmp_path / "gamma0-generators-11.json"
