@@ -125,7 +125,3 @@ class CircleExponent:
     @classmethod
     def from_str(cls, s: str) -> "CircleExponent":
         return cls(fraction_from_str(s))
-
-    def order(self) -> int:
-        """Multiplicative order of the underlying circle value."""
-        return self.value.denominator

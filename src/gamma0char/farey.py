@@ -584,15 +584,10 @@ def decompose(gamma: Gamma0Element, gens: GeneratorSet) -> Word:
         raw = _decompose_level_one(gamma.matrix, gens)
     else:
         raw = _walk_to_translation(gamma.matrix, gens)
-    stack = _normal_form(raw)
-    letters = tuple((ref, exp) for ref, exp in stack)
-    product = I
-    for ref, exp in letters:
-        product = product * gens.matrix_for(ref) ** exp
+    word = Word(1, tuple((ref, exp) for ref, exp in _normal_form(raw)))
+    product = reconstruct(word, gens)
     if product == gamma.matrix:
-        word = Word(1, letters)
-    elif -product == gamma.matrix:
-        word = Word(-1, letters)
-    else:
-        raise RuntimeError(f"decomposition of {gamma.matrix} failed to close up")
-    return word
+        return word
+    if -product == gamma.matrix:
+        return Word(-1, word.letters)
+    raise RuntimeError(f"decomposition of {gamma.matrix} failed to close up")

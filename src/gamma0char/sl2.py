@@ -86,14 +86,6 @@ class Gamma0Element:
         return Gamma0Element(self.matrix * other.matrix, self.level)
 
 
-def multiply(x: UniModular, y: UniModular) -> UniModular:
-    return x * y
-
-
-def invert(x: UniModular) -> UniModular:
-    return x.inv()
-
-
 def psi(m: UniModular) -> int:
     """Integer invariant of m, computed case by case from the c entry."""
     return kernels.psi4(m.a, m.b, m.c, m.d)
@@ -120,13 +112,6 @@ def omega(x: UniModular, y: UniModular) -> int:
 def chi_t(t: int, m: UniModular) -> CircleExponent:
     """The character of SL2(Z) with exponent t*psi(m)/12; t is taken mod 12."""
     return CircleExponent(Fraction(t * psi(m), 12))
-
-
-def conjugate_by_level(m: UniModular, l: int) -> UniModular:
-    """diag(1, l)^-1 * m * diag(1, l); requires l | c so the result is integral."""
-    if l < 1 or m.c % l != 0:
-        raise ValueError(f"{l} does not divide the lower-left entry of {m}")
-    return UniModular(m.a, m.b * l, m.c // l, m.d)
 
 
 def _sigma4(a: int, b: int, c: int, d: int, l: int) -> int:

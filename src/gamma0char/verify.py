@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from random import Random
 
 from .charformula import (
+    TheoremViolation,
     beta,
     dedekind_identity_quotient,
     kernel_exponent_check,
@@ -21,9 +21,9 @@ from .charformula import (
 )
 from .dirichlet import divisors, enumerate_characters, evaluate
 from .exact import integer_rank
-from .farey import generators
+from .farey import GeneratorSet, generators
 from .sampling import random_coprime_pair, random_gamma0, random_sl2
-from .sl2 import T, chi_t, omega, psi
+from .sl2 import NEG_I, T, chi_t, omega, psi
 
 SURJECTIVE_LEVELS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13)
 
@@ -69,60 +69,48 @@ def predicted_beta(n: int) -> int:
 @dataclass(frozen=True)
 class SurjectivityReport:
     level: int
-    verdict: str  # "Surjective" | "NotSurjective" | "Unknown"
+    verdict: str  # "Surjective" | "NotSurjective"
     evidence: dict
 
     def to_json(self) -> dict:
         return {"level": self.level, "verdict": self.verdict, "evidence": self.evidence}
 
 
-def _torsion_value_choices(residue_sign: int, order: int) -> list[Fraction]:
-    """Exponents x with order * x == 1/2 mod 1 when the sign is -1, else 0."""
-    offset = Fraction(1, 2) if residue_sign < 0 else Fraction(0)
-    return [(offset + k) / order for k in range(order)]
+def _torsion_image(n: int, gens: GeneratorSet) -> set[tuple[Fraction, ...]]:
+    """Values at (-I, each elliptic generator) over every (chi, r1) pair.
 
-
-def _solve_rational_system(matrix, target):
-    """One exact solution x of matrix^T applied per row: row . x = target entry.
-
-    ``matrix`` is a list of integer rows, full row rank; Gauss elimination
-    over Fraction.  Returns the solution vector or None.
+    Every tuple must lie in the target group: an elliptic generator h of
+    order 2 or 3 in PSL2(Z) satisfies h**order = -I, so its value x has
+    order * x == value(-I) mod 1.  A tuple outside it raises TheoremViolation.
     """
-    rows = [[Fraction(v) for v in row] + [Fraction(t)] for row, t in zip(matrix, target)]
-    ncols = len(matrix[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        factor = rows[rank][col]
-        rows[rank] = [v / factor for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    if any(row[-1] for row in rows[rank:]):
-        return None
-    solution = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        solution[col] = rows[i][-1]
-    return solution
+    elliptic = [(h, 2) for h in gens.elliptic2] + [(h, 3) for h in gens.elliptic3]
+    points = [NEG_I] + [h for h, _ in elliptic]
+    psi_values = [psi(m) for m in points]
+    image = set()
+    for chi in enumerate_characters(n):
+        chi_values = [evaluate(chi, m.d).value for m in points]
+        for r1 in range(12):
+            minus, *values = [
+                (c + Fraction(r1 * p, 12)) % 1 for c, p in zip(chi_values, psi_values)
+            ]
+            for (h, order), x in zip(elliptic, values):
+                if (order * x - minus) % 1:
+                    raise TheoremViolation(
+                        f"value {x} at {h} breaks {order}x = {minus} mod 1"
+                        f" (chi {chi.id()}, r1 {r1})"
+                    )
+            image.add((minus, *values))
+    return image
 
 
 def verify_surjectivity(n: int) -> SurjectivityReport:
     """Decide whether the parameter triples realise every character of Gamma0(N).
 
-    Surjective requires (i) the sigma matrix to have full row rank, so the
-    divisor weights can steer the free generators to any targets, and (ii)
-    every admissible assignment of torsion values to be matched exactly by
-    some (Dirichlet character, r1) pair, searched exhaustively over the
-    12 * phi(N) candidates.
+    Surjective iff (i) the sigma matrix has full row rank, so the divisor
+    weights can steer the free generators to any rational targets, and (ii)
+    the (Dirichlet character, r1) pairs reach every admissible assignment of
+    values at -I and the elliptic generators, a group of order
+    2**(e2 + 1) * 3**e3.
     """
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
@@ -136,8 +124,7 @@ def verify_surjectivity(n: int) -> SurjectivityReport:
     gens = generators(n)
     r, e2, e3 = gens.counts()
     t_count = len(divisors(n))
-    mat = sigma_matrix(n)
-    rank = integer_rank(mat.entries)
+    rank = integer_rank(sigma_matrix(n).entries)
     evidence: dict = {
         "r": r,
         "e2": e2,
@@ -148,54 +135,10 @@ def verify_surjectivity(n: int) -> SurjectivityReport:
     }
     if rank < r:
         return SurjectivityReport(n, "NotSurjective", evidence)
-
-    # constructive witness: solve for rational weights hitting each unit target
-    basis_witness = []
-    for j in range(r):
-        target = [Fraction(1 if i == j else 0) for i in range(r)]
-        solution = _solve_rational_system([list(row) for row in mat.entries], target)
-        if solution is None:
-            return SurjectivityReport(n, "Unknown", evidence | {"note": "rank full but system unsolvable"})
-        basis_witness.append([str(x) for x in solution])
-    evidence["free_target_solutions"] = basis_witness
-
-    # torsion tuples: sign at -I, then one value per elliptic generator
-    chars = enumerate_characters(n)
-    torsion = [(h, 2) for h in gens.elliptic2] + [(h, 3) for h in gens.elliptic3]
-    psi_values = {h.entries(): psi(h) for h, _ in torsion}
-    for sign in (1, -1):
-        choices = [_torsion_value_choices(sign, order) for _, order in torsion]
-        for assignment in product(*choices):
-            matched = False
-            for chi in chars:
-                for r1 in range(12):
-                    minus_ok = (
-                        evaluate(chi, -1).value + Fraction(r1 * (-6), 12)
-                    ) % 1 == (Fraction(0) if sign > 0 else Fraction(1, 2))
-                    if not minus_ok:
-                        continue
-                    good = True
-                    for (h, _), target in zip(torsion, assignment):
-                        value = (
-                            evaluate(chi, h.d).value
-                            + Fraction(r1 * psi_values[h.entries()], 12)
-                        ) % 1
-                        if value != target % 1:
-                            good = False
-                            break
-                    if good:
-                        matched = True
-                        break
-                if matched:
-                    break
-            if not matched:
-                evidence["failing_torsion_tuple"] = {
-                    "sign_at_minus_I": sign,
-                    "targets": [str(x % 1) for x in assignment],
-                }
-                return SurjectivityReport(n, "NotSurjective", evidence)
-    evidence["torsion_tuples_matched"] = 2 ** (e2 + 1) * 3**e3
-    return SurjectivityReport(n, "Surjective", evidence)
+    image_size = len(_torsion_image(n, gens))
+    evidence["torsion_tuples_matched"] = image_size
+    surjective = image_size == 2 ** (e2 + 1) * 3**e3
+    return SurjectivityReport(n, "Surjective" if surjective else "NotSurjective", evidence)
 
 
 def verify_conjecture1(max_n: int) -> dict:

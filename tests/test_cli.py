@@ -86,6 +86,10 @@ def test_verify_commands_exit_zero(capsys):
     code, out = run_cli(capsys, "verify", "surjectivity", "--level", "9")
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "NotSurjective"
+    code, out = run_cli(capsys, "verify", "surjectivity", "--level", "13")
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True and doc["verdict"] == "Surjective"
+    assert "free_target_solutions" not in doc["evidence"]
     code, out = run_cli(capsys, "verify", "prop21", "--trials", "2000")
     assert code == 0 and json.loads(out)["ok"] is True
     code, out = run_cli(capsys, "verify", "kernel", "--level", "7", "--trials", "50")
@@ -122,6 +126,9 @@ def test_plain_output(capsys):
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["psi"])  # missing --matrix
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["generators", "--level", "5", "--json"])  # JSON is the default output
     assert info.value.code == 2
 
 

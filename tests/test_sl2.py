@@ -17,8 +17,6 @@ from gamma0char.sl2 import (
     Gamma0Element,
     UniModular,
     chi_t,
-    invert,
-    multiply,
     omega,
     psi,
     sigma,
@@ -33,11 +31,11 @@ def test_unimodular_validation():
 
 
 def test_multiply_invert():
-    assert multiply(T, T) == UniModular(1, 2, 0, 1)
-    assert multiply(S, S) == NEG_I
-    assert invert(S) == UniModular(0, 1, -1, 0)
-    assert invert(T) == UniModular(1, -1, 0, 1)
-    assert invert(NEG_I) == NEG_I
+    assert T * T == UniModular(1, 2, 0, 1)
+    assert S * S == NEG_I
+    assert S.inv() == UniModular(0, 1, -1, 0)
+    assert T.inv() == UniModular(1, -1, 0, 1)
+    assert NEG_I.inv() == NEG_I
     rng = random.Random(5)
     for _ in range(50):
         g = random_sl2(rng)

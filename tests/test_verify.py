@@ -10,7 +10,7 @@ from gamma0char.farey import generators
 from gamma0char.sl2 import Gamma0Element, NEG_I, psi
 from gamma0char.verify import (
     SURJECTIVE_LEVELS,
-    _solve_rational_system,
+    _torsion_image,
     predicted_beta,
     verify_conjecture1,
     verify_conjecture2,
@@ -45,10 +45,23 @@ def test_surjective_levels_have_square_full_rank_sigma():
         report = verify_surjectivity(n)
         assert report.evidence["r"] == report.evidence["t_minus_1"]
         assert report.evidence["rank"] == report.evidence["r"]
-        assert "free_target_solutions" in report.evidence
         assert report.evidence["torsion_tuples_matched"] == 2 ** (
             report.evidence["e2"] + 1
         ) * 3 ** report.evidence["e3"]
+
+
+def test_torsion_image_size():
+    # images short of the target group; verify_surjectivity stops at the
+    # short sigma rank of these levels before it counts the image
+    for n, size, target in ((65, 16, 32), (85, 16, 32), (91, 54, 162)):
+        gens = generators(n)
+        _, e2, e3 = gens.counts()
+        assert 2 ** (e2 + 1) * 3**e3 == target
+        assert len(_torsion_image(n, gens)) == size
+    for n in SURJECTIVE_LEVELS[1:]:
+        gens = generators(n)
+        _, e2, e3 = gens.counts()
+        assert len(_torsion_image(n, gens)) == 2 ** (e2 + 1) * 3**e3
 
 
 def test_predicted_beta_rules():
