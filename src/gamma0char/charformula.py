@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import kernels
 from .dirichlet import DirichletCharacter, divisors, evaluate
-from .exact import CircleExponent, dedekind_sum_fast, gcd_all
+from .exact import CircleExponent, gcd_all
 from .farey import decompose, exponent_sum, generators
-from .sl2 import Gamma0Element, psi, sigma
+from .sl2 import Gamma0Element, UniModular, psi, psi_conjugate, sigma
 
 
 class TheoremViolation(ArithmeticError):
@@ -77,8 +76,7 @@ def eval_character(params: CharacterParams, gamma: Gamma0Element) -> CircleExpon
     total = evaluate(params.chi, m.d).value + Fraction(params.r1 * psi_m, 12)
     for l, r in params.r_l:
         if r:
-            # sigma at l, reusing psi(m) across the divisors
-            total += r * (psi_m - kernels.psi4(m.a, m.b * l, m.c // l, m.d))
+            total += r * (psi_m - psi_conjugate(m, l))
     return CircleExponent(total)
 
 
@@ -104,12 +102,12 @@ def sigma_matrix(n: int) -> SigmaMatrix:
     """The r x (t-1) integer matrix of sigma values at level n >= 2."""
     if n < 2:
         raise ValueError(f"level must be at least 2, got {n}")
+    # every free generator lies in Gamma0(n), so each column l divides its c
     cols = tuple(l for l in divisors(n) if l > 1)
-    gens = generators(n)
     rows = []
-    for g in gens.free:
-        element = Gamma0Element(g, n)
-        rows.append(tuple(sigma(element, l) for l in cols))
+    for g in generators(n).free:
+        psi_g = psi(g)
+        rows.append(tuple(psi_g - psi_conjugate(g, l) for l in cols))
     return SigmaMatrix(n, cols, tuple(rows))
 
 
@@ -173,8 +171,9 @@ def dedekind_identity_quotient(n: int, c: int, d: int) -> int:
     For the admissible levels, with N | c, c > 0, gcd(c, d) = 1 and a the
     inverse of d mod c, the quantity
     ((a+d)/c - 12 s(d,c)) - ((a+d)/(c/N) - 12 s(d, c/N)) is an integer
-    multiple of N - 1; the multiplier is returned.  A failure of integrality
-    or divisibility raises TheoremViolation.
+    multiple of N - 1; the multiplier is returned.  The quantity is
+    sigma_N(gamma) for gamma = (a, (ad-1)/c; c, d), so psi4 rejects a
+    non-integral value; a failure of divisibility raises TheoremViolation.
     """
     if n not in KERNEL_LEVELS:
         raise ValueError(f"level {n} is not in {KERNEL_LEVELS}")
@@ -183,16 +182,8 @@ def dedekind_identity_quotient(n: int, c: int, d: int) -> int:
     if math.gcd(c, d) != 1:
         raise ValueError(f"c and d must be coprime, got ({c}, {d})")
     a = pow(d, -1, c)
-    c_low = c // n
-    q = (
-        Fraction(a + d, c)
-        - 12 * dedekind_sum_fast(d, c)
-        - Fraction(a + d, c_low)
-        + 12 * dedekind_sum_fast(d, c_low)
-    )
-    if q.denominator != 1:
-        raise TheoremViolation(f"non-integral quotient {q} at (n, c, d) = ({n}, {c}, {d})")
-    value = int(q)
+    gamma = UniModular(a, (a * d - 1) // c, c, d)
+    value = psi(gamma) - psi_conjugate(gamma, n)
     if value % (n - 1) != 0:
         raise TheoremViolation(
             f"quotient {value} not divisible by {n - 1} at (n, c, d) = ({n}, {c}, {d})"

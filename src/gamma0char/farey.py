@@ -40,11 +40,10 @@ def index_gamma0(n: int) -> int:
     """Index of Gamma0(N) in SL2(Z): N times the product of (1 + 1/p)."""
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
-    ix = Fraction(n)
+    ix = n
     for p, _ in factorize(n):
-        ix *= Fraction(p + 1, p)
-    assert ix.denominator == 1
-    return int(ix)
+        ix = ix // p * (p + 1)
+    return ix
 
 
 def _side_matrix(v_left: tuple[int, int], v_right: tuple[int, int]) -> UniModular:
@@ -283,13 +282,10 @@ def _extract_generators(symbol: FareySymbol) -> GeneratorSet:
     for h in elliptic3:
         if h * h * h != NEG_I:
             raise RuntimeError(f"odd generator {h} does not cube to -I")
-    expected_r = (
-        Fraction(index_gamma0(n), 6)
-        + 1
-        - Fraction(len(elliptic2), 2)
-        - Fraction(2 * len(elliptic3), 3)
-    )
-    if expected_r != len(free):
+    # the measure r = index/6 + 1 - e2/2 - 2*e3/3, cleared of denominators
+    measure6 = index_gamma0(n) + 6 - 3 * len(elliptic2) - 4 * len(elliptic3)
+    if measure6 != 6 * len(free):
+        expected_r = Fraction(measure6, 6)
         raise RuntimeError(
             f"level {n}: {len(free)} free generators against measure {expected_r}"
         )

@@ -114,8 +114,13 @@ def chi_t(t: int, m: UniModular) -> CircleExponent:
     return CircleExponent(Fraction(t * psi(m), 12))
 
 
-def _sigma4(a: int, b: int, c: int, d: int, l: int) -> int:
-    return kernels.psi4(a, b, c, d) - kernels.psi4(a, b * l, c // l, d)
+def psi_conjugate(m: UniModular, l: int) -> int:
+    """psi of the conjugate (a, b*l, c/l, d) of m = (a, b, c, d).
+
+    sigma_l(m) = psi(m) - psi_conjugate(m, l); callers evaluate psi(m) once
+    per matrix.  Caller guarantees that l is positive and divides c.
+    """
+    return kernels.psi4(m.a, m.b * l, m.c // l, m.d)
 
 
 def sigma(gamma: Gamma0Element, l: int) -> int:
@@ -127,4 +132,4 @@ def sigma(gamma: Gamma0Element, l: int) -> int:
     if l < 1 or gamma.level % l != 0:
         raise ValueError(f"{l} does not divide the level {gamma.level}")
     m = gamma.matrix
-    return _sigma4(m.a, m.b, m.c, m.d, l)
+    return psi(m) - psi_conjugate(m, l)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from random import Random
 
 from .charformula import (
+    KERNEL_LEVELS,
     TheoremViolation,
     beta,
     dedekind_identity_quotient,
@@ -141,46 +142,55 @@ def verify_surjectivity(n: int) -> SurjectivityReport:
     return SurjectivityReport(n, "Surjective" if surjective else "NotSurjective", evidence)
 
 
-def verify_conjecture1(max_n: int) -> dict:
-    """beta(N, l) == beta(l, l) for every 1 < l | N up to max_n."""
-    mismatches = []
-    checked = 0
-    for n in range(2, max_n + 1):
-        for l in divisors(n):
-            if l == 1:
-                continue
-            checked += 1
-            left, right = beta(n, l), beta(l, l)
-            if left != right:
-                mismatches.append({"N": n, "l": l, "beta_N_l": left, "beta_l_l": right})
+def _check_max_n(max_n: int) -> None:
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
+
+
+def _scan(max_n: int, check) -> dict:
+    """Report of check over the levels 2 <= N <= max_n.
+
+    check(N) yields one item per comparison: None on agreement, otherwise the
+    mismatch record.
+    """
+    _check_max_n(max_n)
+    found = [item for n in range(2, max_n + 1) for item in check(n)]
+    mismatches = [item for item in found if item]
     return {
         "ok": not mismatches,
         "max_n": max_n,
-        "checked": checked,
+        "checked": len(found),
         "mismatches": mismatches,
     }
+
+
+def verify_conjecture1(max_n: int) -> dict:
+    """beta(N, l) == beta(l, l) for every 1 < l | N up to max_n."""
+
+    def check(n):
+        for l in divisors(n)[1:]:
+            left, right = beta(n, l), beta(l, l)
+            if left == right:
+                yield None
+            else:
+                yield {"N": n, "l": l, "beta_N_l": left, "beta_l_l": right}
+
+    return _scan(max_n, check)
 
 
 def verify_conjecture2(max_n: int) -> dict:
     """beta(N, N) equals the residue-24 table prediction for 2 <= N <= max_n."""
-    mismatches = []
-    checked = 0
-    for n in range(2, max_n + 1):
-        checked += 1
-        actual = beta(n, n)
-        expected = predicted_beta(n)
-        if actual != expected:
-            mismatches.append({"N": n, "beta": actual, "predicted": expected})
-    return {
-        "ok": not mismatches,
-        "max_n": max_n,
-        "checked": checked,
-        "mismatches": mismatches,
-    }
+
+    def check(n):
+        actual, expected = beta(n, n), predicted_beta(n)
+        yield None if actual == expected else {"N": n, "beta": actual, "predicted": expected}
+
+    return _scan(max_n, check)
 
 
 def verify_table2(max_n: int) -> dict:
     """Reproduce the residue table: observed beta values per residue class."""
+    _check_max_n(max_n)
     observed: dict[int, set[int]] = {r: set() for r in range(1, 25)}
     for n in range(2, max_n + 1):
         observed[n % 24 or 24].add(beta(n, n))
@@ -204,21 +214,14 @@ def verify_table2(max_n: int) -> dict:
 
 def verify_conjecture3(max_n: int) -> dict:
     """rank of the sigma matrix == t - 1 for 2 <= N <= max_n."""
-    mismatches = []
-    checked = 0
-    for n in range(2, max_n + 1):
-        checked += 1
-        mat = sigma_matrix(n)
-        rank = integer_rank(mat.entries)
+
+    def check(n):
+        # one lookup of the module-level name per level, so callers may patch it
+        rank = integer_rank(sigma_matrix(n).entries)
         expected = len(divisors(n)) - 1
-        if rank != expected:
-            mismatches.append({"N": n, "rank": rank, "t_minus_1": expected})
-    return {
-        "ok": not mismatches,
-        "max_n": max_n,
-        "checked": checked,
-        "mismatches": mismatches,
-    }
+        yield None if rank == expected else {"N": n, "rank": rank, "t_minus_1": expected}
+
+    return _scan(max_n, check)
 
 
 def _check_trials(trials: int) -> None:
@@ -256,7 +259,7 @@ def verify_dedekind_identity(trials: int, seed: int, cmax: int = 10**4) -> dict:
     _check_trials(trials)
     rng = Random(seed)
     checked = 0
-    for n in (2, 3, 4, 5, 7, 9, 13, 25):
+    for n in KERNEL_LEVELS:
         for _ in range(trials):
             c, d = random_coprime_pair(rng, n, max(cmax, n))
             dedekind_identity_quotient(n, c, d)  # raises on failure

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gamma0char.charformula import (
+    KERNEL_LEVELS,
     CharacterParams,
     beta,
     dedekind_identity_quotient,
@@ -14,7 +15,7 @@ from gamma0char.charformula import (
     sigma_matrix,
 )
 from gamma0char.dirichlet import divisors, enumerate_characters
-from gamma0char.exact import gcd_all
+from gamma0char.exact import dedekind_sum_fast, gcd_all
 from gamma0char.farey import generators
 from gamma0char.sampling import random_gamma0
 from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, sigma
@@ -123,7 +124,8 @@ def test_sigma_matrix_examples():
 
 
 def test_sigma_matrix_recomputes_from_sigma():
-    for n in (6, 10, 12):
+    # levels with many divisors share one psi(g) across the most columns
+    for n in (*range(2, 61), 120, 210, 240):
         mat = sigma_matrix(n)
         gens = generators(n)
         for row, g in zip(mat.entries, gens.free):
@@ -198,10 +200,22 @@ def test_dedekind_identity_bulk_random():
     rng = random.Random(67)
     from gamma0char.sampling import random_coprime_pair
 
-    for n in (2, 3, 4, 5, 7, 9, 13, 25):
+    def literal_quotient(n, c, d):
+        # the paper's expression in Dedekind sums, as an independent oracle
+        a = pow(d, -1, c)
+        q = (
+            Fraction(a + d, c)
+            - 12 * dedekind_sum_fast(d, c)
+            - Fraction(a + d, c // n)
+            + 12 * dedekind_sum_fast(d, c // n)
+        )
+        assert q.denominator == 1 and q % (n - 1) == 0
+        return int(q) // (n - 1)
+
+    for n in KERNEL_LEVELS:
         for _ in range(120):
             c, d = random_coprime_pair(rng, n, 10**4)
-            dedekind_identity_quotient(n, c, d)
+            assert dedekind_identity_quotient(n, c, d) == literal_quotient(n, c, d)
 
 
 def test_dedekind_identity_domain_errors():

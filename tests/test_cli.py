@@ -149,6 +149,10 @@ def test_bad_input_exits_two_with_one_line(capsys, tmp_path):
         ["verify", "prop21", "--trials", "-1"],
         ["verify", "dedekind-identity", "--trials", "0"],
         ["verify", "kernel", "--level", "7", "--trials", "0"],
+        ["verify", "conjecture1", "--max", "1"],
+        ["verify", "conjecture2", "--max", "0"],
+        ["verify", "conjecture3", "--max", "-5"],
+        ["verify", "table2", "--max", "1"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
