@@ -172,8 +172,8 @@ def dedekind_identity_quotient(n: int, c: int, d: int) -> int:
     inverse of d mod c, the quantity
     ((a+d)/c - 12 s(d,c)) - ((a+d)/(c/N) - 12 s(d, c/N)) is an integer
     multiple of N - 1; the multiplier is returned.  The quantity is
-    sigma_N(gamma) for gamma = (a, (ad-1)/c; c, d), so psi4 rejects a
-    non-integral value; a failure of divisibility raises TheoremViolation.
+    sigma_N(gamma) for gamma = (a, (ad-1)/c; c, d), of determinant 1 by
+    construction; a failure of divisibility raises TheoremViolation.
     """
     if n not in KERNEL_LEVELS:
         raise ValueError(f"level {n} is not in {KERNEL_LEVELS}")

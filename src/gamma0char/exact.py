@@ -34,7 +34,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 
 def dedekind_sum_fast(h: int, k: int) -> Fraction:
-    """s(h, k) via the reciprocity descent; O(log k) arithmetic steps.
+    """s(h, k) from the continued-fraction walk of h/k; O(log k) integer steps.
 
     Same domain and same values as ``dedekind_sum`` on every input.
     """

@@ -15,7 +15,7 @@ from gamma0char.charformula import (
     sigma_matrix,
 )
 from gamma0char.dirichlet import divisors, enumerate_characters
-from gamma0char.exact import dedekind_sum_fast, gcd_all
+from gamma0char.exact import dedekind_sum, gcd_all
 from gamma0char.farey import generators
 from gamma0char.sampling import random_gamma0
 from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, sigma
@@ -201,13 +201,14 @@ def test_dedekind_identity_bulk_random():
     from gamma0char.sampling import random_coprime_pair
 
     def literal_quotient(n, c, d):
-        # the paper's expression in Dedekind sums, as an independent oracle
+        # the paper's expression in naive Dedekind sums, an oracle that
+        # shares no code with psi4's continued-fraction walk
         a = pow(d, -1, c)
         q = (
             Fraction(a + d, c)
-            - 12 * dedekind_sum_fast(d, c)
+            - 12 * dedekind_sum(d, c)
             - Fraction(a + d, c // n)
-            + 12 * dedekind_sum_fast(d, c // n)
+            + 12 * dedekind_sum(d, c // n)
         )
         assert q.denominator == 1 and q % (n - 1) == 0
         return int(q) // (n - 1)

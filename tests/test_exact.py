@@ -116,7 +116,7 @@ def test_denominator_divides_6k():
 
 
 def test_big_k_fast_path():
-    # far past the naive sum's range: only the descent is practical here
+    # far past the naive sum's range: only the continued-fraction walk is practical here
     k = 10**7 + 19
     h = 12345677
     assert gcd(h, k) == 1

@@ -1,12 +1,14 @@
 """Farey symbols, generator sets, the measure formula, word decomposition."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from gamma0char import farey
+from gamma0char.dirichlet import factorize
 from gamma0char.farey import (
     EVEN,
     ODD,
@@ -257,6 +259,14 @@ def test_vertex_denominators_bounded_by_level():
         assert max(q for _, q in gens.symbol.vertices) <= n, n
         r, e2, e3 = gens.counts()
         assert r == Fraction(index_gamma0(n), 6) + 1 - Fraction(e2, 2) - Fraction(2 * e3, 3)
+        # closed forms (Shimura, Prop. 1.43), independent of the symbol:
+        # e2 = prod (1 + (-1/p)) unless 4 | N, e3 = prod (1 + (-3/p)) unless 9 | N,
+        # a factor 2 for p split, 0 for p inert, 1 for p = 2 (e2) or p = 3 (e3)
+        primes = [p for p, _ in factorize(n)]
+        e2_closed = 0 if n % 4 == 0 else math.prod({1: 2, 2: 1, 3: 0}[p % 4] for p in primes)
+        e3_closed = 0 if n % 9 == 0 else math.prod({1: 2, 0: 1, 2: 0}[p % 3] for p in primes)
+        assert (e2, e3) == (e2_closed, e3_closed), n
+        assert 6 * r == index_gamma0(n) + 6 - 3 * e2_closed - 4 * e3_closed, n
         if n in TABLE1_COUNTS:
             assert gens.counts() == TABLE1_COUNTS[n]
 

@@ -6,7 +6,8 @@ from math import gcd
 
 import pytest
 
-from gamma0char.exact import dedekind_sum_fast
+from gamma0char import kernels
+from gamma0char.exact import dedekind_sum, dedekind_sum_fast
 from gamma0char.farey import generators
 from gamma0char.sampling import random_sl2
 from gamma0char.sl2 import (
@@ -153,16 +154,86 @@ def test_elliptic_special_value_small():
     assert found > 50
 
 
+def _descent_dedekind(h, k):
+    # the reciprocity descent that computed s(h, k) before the
+    # continued-fraction walk, frozen here as an oracle for large entries
+    h %= k
+    num, den = 0, 1
+    sign = 1
+    while h:
+        hk12 = 12 * h * k
+        t_num = 4 * (h * h + k * k + 1) - hk12
+        t_den = 4 * hk12
+        num = num * t_den + sign * t_num * den
+        den = den * t_den
+        g = gcd(num, den)
+        num //= g
+        den //= g
+        sign = -sign
+        h, k = k % h, h
+    return num, den
+
+
+def _descent_psi4(a, b, c, d):
+    # psi4 as it was computed through that descent
+    if c == 0:
+        return b if a > 0 else -b - 6
+    if c > 0:
+        num, den = _descent_dedekind(-d, c)
+        off = -3
+    else:
+        num, den = _descent_dedekind(d, -c)
+        off = 3
+    total = (a + d) * den + 12 * num * c + off * c * den
+    q, r = divmod(total, c * den)
+    assert r == 0
+    return q
+
+
+def _naive_psi4(a, b, c, d):
+    # the four-case formula with Fractions and naive Dedekind sums
+    if c == 0:
+        return b if a > 0 else -b - 6
+    if c > 0:
+        return Fraction(a + d, c) + 12 * dedekind_sum(-d, c) - 3
+    return Fraction(a + d, c) + 12 * dedekind_sum(d, -c) + 3
+
+
+def _matrices_with_lower_row(rng, c, shifts):
+    # (a + t*c, b; c, d) of determinant 1 for each t in shifts; c != 0, d sampled
+    d = rng.randint(-3 * abs(c), 3 * abs(c))
+    while gcd(c, d) != 1:
+        d += 1
+    a = pow(d, -1, abs(c))
+    return [(a + t * c, (a * d - 1) // c + t * d, c, d) for t in shifts]
+
+
 def test_psi_matches_direct_formula():
-    # the four-case formula recomputed here with Fractions, as an oracle
+    # naive Dedekind sums where they are cheap (|c| <= 2000), the frozen
+    # descent beyond; neither shares code with psi4's walk
+    def expected(a, b, c, d):
+        if abs(c) <= 2000:
+            return _naive_psi4(a, b, c, d)
+        return _descent_psi4(a, b, c, d)
+
     rng = random.Random(29)
-    for _ in range(500):
-        m = random_sl2(rng)
-        a, b, c, d = m.entries()
-        if c == 0:
-            expected = b if a > 0 else -b - 6
-        elif c > 0:
-            expected = Fraction(a + d, c) + 12 * dedekind_sum_fast(-d, c) - 3
-        else:
-            expected = Fraction(a + d, c) + 12 * dedekind_sum_fast(d, -c) + 3
-        assert psi(m) == expected
+    cases = [m.entries() for m in (random_sl2(rng) for _ in range(500))]
+    cases += [(s, b, 0, s) for s in (1, -1) for b in range(-5, 6)]
+    # every 1 <= |c| <= 2000 with a sampled d
+    for c in range(-2000, 2001):
+        if c:
+            cases += _matrices_with_lower_row(rng, c, [rng.randint(-2, 2)])
+    # |c| from 1 to 1e12, both signs, a shifted by t*c for t in -2..2
+    for _ in range(2000):
+        c = rng.choice([1, -1]) * rng.randint(1, 10 ** rng.randint(0, 12))
+        cases += _matrices_with_lower_row(rng, c, range(-2, 3))
+    for a, b, c, d in cases:
+        assert psi(UniModular(a, b, c, d)) == expected(a, b, c, d)
+
+
+def test_psi4_rejects_determinant_other_than_one():
+    # all but (2, 0, 5, 4) have c == 0 or a*d == 1 (mod c), so a test of
+    # integrality alone would let them through
+    for entries in [(2, 5, 0, 7), (1, 0, 5, 6), (6, 0, 5, 1), (2, 0, 5, 4), (3, 1, -5, 2)]:
+        with pytest.raises(ArithmeticError):
+            kernels.psi4(*entries)
