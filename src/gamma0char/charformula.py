@@ -11,12 +11,13 @@ surjectivity analysis in ``verify``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .dirichlet import DirichletCharacter, divisors, evaluate
-from .exact import CircleExponent, gcd_all
+from .dirichlet import DirichletCharacter, divisors, unit_group_structure
+from .exact import CircleExponent, as_fraction, as_int, gcd_all
 from .farey import decompose, exponent_sum, generators
 from .sl2 import Gamma0Element, UniModular, psi, psi_conjugate, sigma
 
@@ -31,26 +32,41 @@ class CharacterParams:
 
     ``r_l`` maps every divisor l of N with l > 1 to a rational weight; r1 is
     kept in {0, ..., 11}.  Componentwise composition of parameter triples
-    matches pointwise multiplication of the induced characters.
+    matches pointwise multiplication of the induced characters.  Every value
+    is an integer over M = lcm(12, chi.value_modulus, denominators of the r_l),
+    so construction compiles the chi weights scaled to M, r1 * M / 12 and
+    (l, r_l * M) for each nonzero r_l.
     """
 
     chi: DirichletCharacter
     r1: int
     r_l: tuple[tuple[int, Fraction], ...]
+    value_modulus: int = field(init=False, repr=False, compare=False)
+    chi_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    r1_weight: int = field(init=False, repr=False, compare=False)
+    rl_weights: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.chi.modulus
         expected = [l for l in divisors(n) if l > 1]
         if [l for l, _ in self.r_l] != expected:
             raise ValueError(f"r_l keys must be the divisors of {n} above 1: {expected}")
-        object.__setattr__(self, "r1", self.r1 % 12)
-        object.__setattr__(
-            self, "r_l", tuple((l, Fraction(r)) for l, r in self.r_l)
-        )
+        r1 = as_int(self.r1) % 12
+        r_l = tuple((l, as_fraction(r)) for l, r in self.r_l)
+        big = math.lcm(12, self.chi.value_modulus, *(r.denominator for _, r in r_l))
+        put = object.__setattr__
+        put(self, "r1", r1)
+        put(self, "r_l", r_l)
+        put(self, "value_modulus", big)
+        scale = big // self.chi.value_modulus
+        put(self, "chi_weights", tuple(w * scale for w in self.chi.weights))
+        put(self, "r1_weight", r1 * (big // 12))
+        rl = tuple((l, r.numerator * (big // r.denominator)) for l, r in r_l if r)
+        put(self, "rl_weights", rl)
 
     @classmethod
     def from_map(cls, chi: DirichletCharacter, r1: int, r_l: dict) -> "CharacterParams":
-        items = tuple(sorted((int(l), Fraction(r)) for l, r in r_l.items()))
+        items = tuple(sorted((as_int(l), as_fraction(r)) for l, r in r_l.items()))
         return cls(chi, r1, items)
 
     def compose(self, other: "CharacterParams") -> "CharacterParams":
@@ -66,18 +82,18 @@ def eval_character(params: CharacterParams, gamma: Gamma0Element) -> CircleExpon
     """Value of the parametrized character at gamma, as a circle exponent.
 
     exponent(chi(d)) + r1 * psi(gamma) / 12 + sum over l of r_l * sigma_l(gamma),
-    all mod 1.
+    all mod 1: one integer sum over the modulus M of ``params``, reduced once.
     """
     n = params.chi.modulus
     if gamma.level != n:
         raise ValueError(f"level {gamma.level} does not match modulus {n}")
     m = gamma.matrix
     psi_m = psi(m)
-    total = evaluate(params.chi, m.d).value + Fraction(params.r1 * psi_m, 12)
-    for l, r in params.r_l:
-        if r:
-            total += r * (psi_m - psi_conjugate(m, l))
-    return CircleExponent(total)
+    dlog = unit_group_structure(n).dlog(m.d)
+    total = sum(map(mul, params.chi_weights, dlog)) + params.r1_weight * psi_m
+    for l, w in params.rl_weights:
+        total += w * (psi_m - psi_conjugate(m, l))
+    return CircleExponent.from_residue(total, params.value_modulus)
 
 
 @dataclass(frozen=True)

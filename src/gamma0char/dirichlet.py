@@ -4,17 +4,18 @@ The unit group (Z/NZ)^x is decomposed into cyclic factors by the Chinese
 remainder theorem: the smallest primitive root for each odd prime power, and
 the pair {-1, 5} for powers of two above 4.  Discrete logarithms are computed
 by a brute-force table, memoized per modulus; levels in this package are desk
-scale so this is never the bottleneck.
+scale so this is never the bottleneck.  Each character is compiled once into
+integer weights over m, the lcm of the factor orders, and evaluates as k/m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, mul
 
-from .exact import CircleExponent
+from .exact import CircleExponent, as_int
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -130,30 +131,34 @@ def _dlog_table(n: int) -> dict[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A character of (Z/NZ)^x, encoded by exponents on the cyclic factors."""
+    """A character of (Z/NZ)^x, encoded by exponents on the cyclic factors.
+
+    Exponents k_i are reduced mod their orders; chi(d) is the sum of
+    w_i * dlog_i(d) over m = ``value_modulus``, the lcm of the orders, with
+    ``weights`` w_i = k_i * m / order_i.
+    """
 
     modulus: int
     exponents: tuple[int, ...]
+    value_modulus: int = field(init=False, repr=False, compare=False)
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         structure = unit_group_structure(self.modulus)
         if len(self.exponents) != len(structure.factors):
             raise ValueError("exponent vector length does not match the unit group")
-
-    def __call__(self, d: int) -> CircleExponent:
-        return evaluate(self, d)
+        orders = [order for _, order in structure.factors]
+        exps = tuple(as_int(k) % order for k, order in zip(self.exponents, orders))
+        m = math.lcm(*orders)
+        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "value_modulus", m)
+        object.__setattr__(self, "weights", tuple(k * (m // o) for k, o in zip(exps, orders)))
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
-        structure = unit_group_structure(self.modulus)
-        exps = tuple(
-            (x + y) % order
-            for (x, y, (_, order)) in zip(
-                self.exponents, other.exponents, structure.factors
-            )
-        )
-        return DirichletCharacter(self.modulus, exps)
+        # construction reduces each sum mod its factor order
+        return DirichletCharacter(self.modulus, tuple(map(add, self.exponents, other.exponents)))
 
     def is_principal(self) -> bool:
         return not any(self.exponents)
@@ -186,12 +191,8 @@ def enumerate_characters(n: int) -> list[DirichletCharacter]:
 def evaluate(chi: DirichletCharacter, d: int) -> CircleExponent:
     """chi(d) as a circle exponent; d must be a unit modulo N.
 
-    The exponent is the dot product of the character's exponent vector with
-    the discrete log of d, each coordinate weighted by 1/order.
+    The exponent is the dot product of the character's integer weights with
+    the discrete log of d, over the modulus m = ``chi.value_modulus``.
     """
-    structure = unit_group_structure(chi.modulus)
-    dlog = structure.dlog(d)
-    total = Fraction(0)
-    for k, e, (_, order) in zip(chi.exponents, dlog, structure.factors):
-        total += Fraction(k * e, order)
-    return CircleExponent(total)
+    dlog = unit_group_structure(chi.modulus).dlog(d)
+    return CircleExponent.from_residue(sum(map(mul, chi.weights, dlog)), chi.value_modulus)

@@ -1,9 +1,9 @@
 """Exact rational arithmetic: Dedekind sums, circle exponents, integer rank.
 
-Rational values are plain ``fractions.Fraction`` everywhere (arbitrary
-precision, always reduced, denominator positive).  Values on the unit circle
-are carried as their exponents in [0, 1) by ``CircleExponent``; no floating
-point appears anywhere.
+Rationals enter as ``fractions.Fraction`` or int; floats and other inexact
+numbers are rejected with ``ValueError``.  A point of the unit circle is a
+``CircleExponent``, its exponent mod 1 held as a reduced integer pair, so hot
+loops add integers over an explicit modulus.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from . import kernels
 
@@ -89,39 +90,68 @@ def fraction_from_str(s: str) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
+def as_fraction(x) -> Fraction:
+    """x as a Fraction; ValueError unless x is an exact rational (no floats)."""
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, Rational):
+        raise ValueError(f"{x!r} is not an exact rational")
+    return Fraction(x)
+
+
+def as_int(x) -> int:
+    """x as an int; ValueError unless x is an exact rational with denominator 1."""
+    if isinstance(x, Rational) and x.denominator == 1:
+        return int(x.numerator)
+    raise ValueError(f"{x!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class CircleExponent:
     """A point of the unit circle stored as its rational exponent mod 1.
 
-    ``CircleExponent(x)`` stands for exp(2*pi*i*x); the group law is addition
-    of exponents mod 1, so equality of values is equality of the reduced
-    fractions.
+    ``CircleExponent(x)`` stands for exp(2*pi*i*x), stored as the reduced pair
+    num/den with 0 <= num < den; ``from_residue(x, m)`` builds x/m, and the group
+    law (addition mod 1) is integer cross-multiplication through it.  Equal
+    values have equal pairs; ``value`` returns the exponent as a Fraction.
     """
 
-    value: Fraction
+    num: int
+    den: int
 
     def __init__(self, value) -> None:
-        object.__setattr__(self, "value", Fraction(value) % 1)
+        q = as_fraction(value)
+        object.__setattr__(self, "num", q.numerator % q.denominator)
+        object.__setattr__(self, "den", q.denominator)
+
+    @classmethod
+    def from_residue(cls, x: int, m: int) -> "CircleExponent":
+        """exp(2*pi*i*x/m) for integers x and m > 0."""
+        g = math.gcd(x, m)
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", x % m // g)
+        object.__setattr__(self, "den", m // g)
+        return self
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     def __add__(self, other: "CircleExponent") -> "CircleExponent":
-        return CircleExponent(self.value + other.value)
+        return self.from_residue(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "CircleExponent":
-        return CircleExponent(-self.value)
+        return self.from_residue(-self.num, self.den)
 
     def __sub__(self, other: "CircleExponent") -> "CircleExponent":
-        return CircleExponent(self.value - other.value)
+        return self + -other
 
     def __mul__(self, n: int) -> "CircleExponent":
-        return CircleExponent(self.value * n)
+        return self.from_residue(self.num * n, self.den)
 
     def __str__(self) -> str:
-        return fraction_to_str(self.value)
+        return f"{self.num}/{self.den}"
 
     @classmethod
     def zero(cls) -> "CircleExponent":
-        return cls(Fraction(0))
-
-    @classmethod
-    def from_str(cls, s: str) -> "CircleExponent":
-        return cls(fraction_from_str(s))
+        return cls.from_residue(0, 1)

@@ -481,13 +481,12 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
     """
     symbol = gens.symbol
     floor = symbol.vertices[1:-1]
-    fracs = [Fraction(p, q) for p, q in floor]
     rules = gens.side_rules
     cur = mat.entries()
     letters: list[tuple[tuple[str, int], int]] = []
     seen: set = set()
 
-    def crossing(side: int, x: Fraction):
+    def crossing(side: int, num: int, den: int):
         kind, idx, orient = rules[side]
         if kind == "free":
             g = gens.free[idx]
@@ -498,7 +497,7 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
             return gens.elliptic2[idx].entries(), (("e2", idx), -1)
         g = gens.elliptic3[idx]
         (p1, q1), (p2, q2) = symbol.vertices[side], symbol.vertices[side + 1]
-        if x < Fraction(p1 + p2, q1 + q2):
+        if num * (q1 + q2) < (p1 + p2) * den:
             return g.entries(), (("e3", idx), 2)
         return g.inv().entries(), (("e3", idx), 1)
 
@@ -509,26 +508,29 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
             a, b = a - m * c, b - m * d
             cur = (a, b, c, d)
             letters.append((("free", 0), m))
-        x = Fraction(a, c)
-        if not 0 <= x < 1:
-            raise RuntimeError(f"translation landed outside [0, 1): {x}")
-        pos = bisect_right(fracs, x) - 1
-        if fracs[pos] == x:
+        # the cusp is num/den in lowest terms (gcd(a, c) = 1), den > 0
+        num, den = (a, c) if c > 0 else (-a, -c)
+        if not 0 <= num < den:
+            raise RuntimeError(f"translation landed outside [0, 1): {num}/{den}")
+        # last vertex p/q <= num/den; p*den - num*q grows along the vertices
+        pos = bisect_right(floor, 0, key=lambda v: v[0] * den - num * v[1]) - 1
+        p, q = floor[pos]
+        if p * den == num * q:
             # cusp sits on an interior vertex: cross whichever neighbouring
             # side shrinks the denominator
             candidates = []
             for side in (pos, pos + 1):
                 if 1 <= side <= len(rules) - 2:
-                    u, letter = crossing(side, x)
+                    u, letter = crossing(side, num, den)
                     nxt = _mul4(u, cur)
                     candidates.append((abs(nxt[2]), nxt, letter))
             candidates.sort(key=lambda item: item[0])
-            if not candidates or candidates[0][0] >= x.denominator:
-                raise RuntimeError(f"reduction stalled at vertex {x}")
+            if not candidates or candidates[0][0] >= den:
+                raise RuntimeError(f"reduction stalled at vertex {num}/{den}")
             _, cur, letter = candidates[0]
             letters.append(letter)
         else:
-            u, letter = crossing(pos + 1, x)
+            u, letter = crossing(pos + 1, num, den)
             cur = _mul4(u, cur)
             letters.append(letter)
         state = cur if cur[2] > 0 or (cur[2] == 0 and cur[0] > 0) else tuple(-t for t in cur)

@@ -9,7 +9,6 @@ homomorphisms on Gamma0(N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import kernels
 from .exact import CircleExponent
@@ -111,7 +110,7 @@ def omega(x: UniModular, y: UniModular) -> int:
 
 def chi_t(t: int, m: UniModular) -> CircleExponent:
     """The character of SL2(Z) with exponent t*psi(m)/12; t is taken mod 12."""
-    return CircleExponent(Fraction(t * psi(m), 12))
+    return CircleExponent.from_residue(t * psi(m), 12)
 
 
 def psi_conjugate(m: UniModular, l: int) -> int:

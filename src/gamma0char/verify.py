@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
 from .charformula import (
@@ -77,27 +76,28 @@ class SurjectivityReport:
         return {"level": self.level, "verdict": self.verdict, "evidence": self.evidence}
 
 
-def _torsion_image(n: int, gens: GeneratorSet) -> set[tuple[Fraction, ...]]:
+def _torsion_image(n: int, gens: GeneratorSet) -> set[tuple[int, ...]]:
     """Values at (-I, each elliptic generator) over every (chi, r1) pair.
 
-    Every tuple must lie in the target group: an elliptic generator h of
-    order 2 or 3 in PSL2(Z) satisfies h**order = -I, so its value x has
-    order * x == value(-I) mod 1.  A tuple outside it raises TheoremViolation.
+    Values are integer residues over M = lcm(12, value modulus at level n).
+    Every tuple must lie in the target group: an elliptic generator h of order
+    2 or 3 satisfies h**order = -I, so its value x has order * x == value(-I)
+    mod M.  A tuple outside it raises TheoremViolation.
     """
     elliptic = [(h, 2) for h in gens.elliptic2] + [(h, 3) for h in gens.elliptic3]
     points = [NEG_I] + [h for h, _ in elliptic]
-    psi_values = [psi(m) for m in points]
+    chars = enumerate_characters(n)
+    big = math.lcm(12, chars[0].value_modulus)
+    psi_values = [psi(m) * (big // 12) for m in points]
     image = set()
-    for chi in enumerate_characters(n):
-        chi_values = [evaluate(chi, m.d).value for m in points]
+    for chi in chars:
+        chi_values = [v.num * (big // v.den) for v in (evaluate(chi, m.d) for m in points)]
         for r1 in range(12):
-            minus, *values = [
-                (c + Fraction(r1 * p, 12)) % 1 for c, p in zip(chi_values, psi_values)
-            ]
+            minus, *values = [(c + r1 * p) % big for c, p in zip(chi_values, psi_values)]
             for (h, order), x in zip(elliptic, values):
-                if (order * x - minus) % 1:
+                if (order * x - minus) % big:
                     raise TheoremViolation(
-                        f"value {x} at {h} breaks {order}x = {minus} mod 1"
+                        f"value {x}/{big} at {h} breaks {order}x = {minus}/{big} mod 1"
                         f" (chi {chi.id()}, r1 {r1})"
                     )
             image.add((minus, *values))

@@ -1,5 +1,6 @@
 """The character formula, sigma matrix, beta, kernel tools, sum identity."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,11 +15,11 @@ from gamma0char.charformula import (
     kernel_exponent_check,
     sigma_matrix,
 )
-from gamma0char.dirichlet import divisors, enumerate_characters
+from gamma0char.dirichlet import divisors, enumerate_characters, unit_group_structure
 from gamma0char.exact import dedekind_sum, gcd_all
 from gamma0char.farey import generators
 from gamma0char.sampling import random_gamma0
-from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, sigma
+from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, psi, psi_conjugate, sigma
 
 
 def _params(n, chi_index=0, r1=0, **weights):
@@ -27,6 +28,63 @@ def _params(n, chi_index=0, r1=0, **weights):
     for key, value in weights.items():
         r_l[int(key[1:])] = Fraction(value)
     return CharacterParams.from_map(chi, r1, r_l)
+
+
+def _oracle_evaluate(chi, d):
+    """chi(d) mod 1 summed term by term in Fractions: the former library code."""
+    structure = unit_group_structure(chi.modulus)
+    dlog = structure.dlog(d)
+    total = Fraction(0)
+    for k, e, (_, order) in zip(chi.exponents, dlog, structure.factors):
+        total += Fraction(k * e, order)
+    return total % 1
+
+
+def _oracle_eval_character(params, gamma):
+    """The character formula summed in Fractions mod 1: the former library code."""
+    m = gamma.matrix
+    psi_m = psi(m)
+    total = _oracle_evaluate(params.chi, m.d) + Fraction(params.r1 * psi_m, 12)
+    for l, r in params.r_l:
+        if r:
+            total += r * (psi_m - psi_conjugate(m, l))
+    return total % 1
+
+
+def _lower_row_element(rng, n):
+    """An element of Gamma0(n) from a seeded lower row (c, d), c of either sign or 0."""
+    if rng.randrange(20) == 0:
+        s = rng.choice((1, -1))
+        return Gamma0Element(UniModular(s, rng.randrange(-99, 100), 0, s), n)
+    c = n * rng.randrange(1, 10**6) * rng.choice((1, -1))
+    d = rng.randrange(-(10**6), 10**6)
+    while math.gcd(c, d) != 1:
+        d += 1
+    a = pow(d, -1, abs(c))
+    return Gamma0Element(UniModular(a, (a * d - 1) // c, c, d), n)
+
+
+def test_eval_character_matches_fraction_oracle():
+    rng = random.Random(71)
+    dens = (1, 2, 7, 12, 10**9 + 7, 2**61 - 1, 12 * 10**6)
+    widest = 0
+    for n in (*range(2, 41), 60, 210, 840):
+        divs = [l for l in divisors(n) if l > 1]
+        for chi in enumerate_characters(n):
+            r_l = {
+                l: Fraction(rng.randrange(-(10**12), 10**12), rng.choice(dens))
+                if rng.randrange(4)
+                else Fraction(0)
+                for l in divs
+            }
+            params = CharacterParams.from_map(chi, rng.randrange(-40, 40), r_l)
+            widest = max(widest, len(str(params.value_modulus)))
+            for _ in range(2):
+                gamma = _lower_row_element(rng, n)
+                assert eval_character(params, gamma).value == _oracle_eval_character(
+                    params, gamma
+                )
+    assert widest >= 30
 
 
 def test_eval_character_trivial_params():
@@ -106,6 +164,15 @@ def test_params_validation():
         CharacterParams.from_map(chi, 0, {2: Fraction(1)})  # missing divisors 3, 6
     params = _params(6, r1=25)
     assert params.r1 == 1
+    # inexact or non-integral input is rejected, not rounded or kept
+    full = {2: Fraction(0), 3: Fraction(0), 6: Fraction(0)}
+    for bad in ({**full, 3: 0.1}, {**full, 6: "1/2"}):
+        with pytest.raises(ValueError):
+            CharacterParams.from_map(chi, 0, bad)
+    for r1 in (1.5, Fraction(3, 2), 2.0):
+        with pytest.raises(ValueError):
+            CharacterParams.from_map(chi, r1, full)
+    assert CharacterParams.from_map(chi, Fraction(14, 1), full).r1 == 2
 
 
 def test_sigma_matrix_examples():

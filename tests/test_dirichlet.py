@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gamma0char.dirichlet import (
+    DirichletCharacter,
     character_from_id,
     enumerate_characters,
     euler_phi,
@@ -61,6 +62,14 @@ def test_character_ids_roundtrip():
     for n in (7, 8, 24):
         for chi in enumerate_characters(n):
             assert character_from_id(n, chi.id()) == chi
+    # exponents are reduced mod their factor orders, as r1 is mod 12
+    assert DirichletCharacter(7, (7,)) == DirichletCharacter(7, (1,))
+    assert hash(DirichletCharacter(7, (-5,))) == hash(DirichletCharacter(7, (1,)))
+    assert DirichletCharacter(7, (7,)).id() == 1
+    assert DirichletCharacter(8, (3, -1)).id() == 3
+    for bad in (Fraction(1, 2), 1.0, "1"):
+        with pytest.raises(ValueError):
+            DirichletCharacter(7, (bad,))
 
 
 def test_principal_character_is_trivial():

@@ -142,6 +142,32 @@ def test_circle_exponent_reduction_is_canonical():
     assert CircleExponent(Fraction(5, 4)) == CircleExponent(Fraction(1, 4))
     assert CircleExponent(Fraction(-1, 3)) == CircleExponent(Fraction(2, 3))
     assert CircleExponent(Fraction(3, 3)) == CircleExponent.zero()
+    assert CircleExponent.from_residue(-10, 24) == CircleExponent(Fraction(7, 12))
+    assert hash(CircleExponent.from_residue(9, 12)) == hash(CircleExponent(Fraction(-1, 4)))
+    assert str(CircleExponent.from_residue(36, 12)) == "0/1"
+    # inexact input is rejected, not rounded to the nearest binary fraction
+    for bad in (0.1, 0.5, "1/2", None):
+        with pytest.raises(ValueError):
+            CircleExponent(bad)
+
+
+def test_circle_exponent_matches_fraction_arithmetic():
+    rng = random.Random(13)
+    dens = (1, 2, 3, 12, 840, 10**9 + 7, 2**61 - 1, 12 * 10**6)
+    for _ in range(2000):
+        p = Fraction(rng.randrange(-(10**20), 10**20), rng.choice(dens))
+        q = Fraction(rng.randrange(-(10**20), 10**20), rng.choice(dens))
+        n = rng.randrange(-50, 51)
+        x, y = CircleExponent(p), CircleExponent(q)
+        assert (x.num, x.den) == ((p % 1).numerator, (p % 1).denominator)
+        assert (x + y).value == (p + q) % 1
+        assert (x - y).value == (p - q) % 1
+        assert (-x).value == -p % 1
+        assert (x * n).value == (p * n) % 1
+        assert str(x) == fraction_to_str(p % 1)
+        m = rng.choice(dens) * rng.randrange(1, 13)
+        r = rng.randrange(-(10**25), 10**25)
+        assert CircleExponent.from_residue(r, m).value == Fraction(r, m) % 1
 
 
 def test_integer_rank_examples():
