@@ -59,9 +59,12 @@ def _parse_rl(text: str) -> dict[int, Fraction]:
     for item in text.split(","):
         key, _, value = item.partition("=")
         try:
-            out[int(key)] = fraction_from_str(value)
+            l, weight = int(key), fraction_from_str(value)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"--rl item {item!r} is not l=p/q with q nonzero") from None
+        if l in out:
+            raise ValueError(f"--rl gives l={l} more than once")
+        out[l] = weight
     return out
 
 

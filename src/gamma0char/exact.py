@@ -55,9 +55,7 @@ def integer_rank(rows) -> int:
     has rank 0.  Bareiss pivoting keeps every intermediate an exact integer.
     """
     m = [list(row) for row in rows]
-    if not m or not m[0]:
-        return 0
-    ncols = len(m[0])
+    ncols = len(m[0]) if m else 0
     if any(len(row) != ncols for row in m):
         raise ValueError("ragged matrix")
     rank = 0

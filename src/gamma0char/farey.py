@@ -75,33 +75,12 @@ class FareySymbol:
                 raise ValueError(f"vertices {p1}/{q1}, {p2}/{q2} are not adjacent")
         seen: dict[int, int] = {}
         for label in self.pairings:
-            if label[0] == "free":
+            if label not in (EVEN, ODD):
+                if len(label) != 2 or label[0] != "free" or type(label[1]) is not int:
+                    raise ValueError(f"malformed pairing label {label!r}")
                 seen[label[1]] = seen.get(label[1], 0) + 1
         if any(count != 2 for count in seen.values()):
             raise ValueError("every free pair id must occur exactly twice")
-
-    def fractions(self) -> list[Fraction]:
-        """The interior vertices, as exact fractions."""
-        return [Fraction(p, q) for p, q in self.vertices[1:-1]]
-
-    def side_matrix(self, i: int) -> UniModular:
-        return _side_matrix(self.vertices[i], self.vertices[i + 1])
-
-    def pairing_matrix(self, i: int) -> UniModular:
-        """The generator attached to side i.
-
-        Even: conjugate of S (squares to -I).  Odd: conjugate of TS (cubes to
-        -I).  Free: the map carrying this side to its partner, oriented from
-        the left member of the pair; for pair id 0 this is T.
-        """
-        label = self.pairings[i]
-        m = self.side_matrix(i)
-        if label == EVEN:
-            return m * S * m.inv()
-        if label == ODD:
-            return m * _TS * m.inv()
-        left, right = (k for k, lab in enumerate(self.pairings) if lab == label)
-        return self.side_matrix(right) * S * self.side_matrix(left).inv()
 
     def counts(self) -> tuple[int, int, int]:
         """(free pairs, even sides, odd sides) = (r, e2, e3)."""
@@ -211,11 +190,6 @@ def farey_symbol(n: int) -> FareySymbol:
     return FareySymbol(n, tuple(verts), tuple(pairings))
 
 
-# Crossing rules per side, used by the cusp walk in decompose():
-# ("free", gen_index, +1) means the side is the left member of its pair.
-_SideRule = tuple[str, int, int]
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
     """Independent generators of Gamma0(N) classified by order.
@@ -224,6 +198,11 @@ class GeneratorSet:
     the matrices squaring to -I, ``elliptic3`` those cubing to -I; together
     with -I they generate the group.  ``symbol`` is the Farey symbol the set
     was read from (absent for level 1, which uses {S, ST}).
+
+    ``side_rules[i]`` is (kind, index, orient) for the generator pairing side
+    i, orient -1 only on the right member of a free pair; the cusp walk in
+    decompose() reads it.  Only interior sides have a rule: the two boundary
+    entries, realised by T, are None.
     """
 
     level: int
@@ -231,7 +210,7 @@ class GeneratorSet:
     elliptic2: tuple[UniModular, ...]
     elliptic3: tuple[UniModular, ...]
     symbol: FareySymbol | None = None
-    side_rules: tuple[_SideRule, ...] = field(default=(), repr=False)
+    side_rules: tuple[tuple[str, int, int] | None, ...] = field(default=(), repr=False)
 
     def counts(self) -> tuple[int, int, int]:
         return len(self.free), len(self.elliptic2), len(self.elliptic3)
@@ -248,31 +227,32 @@ class GeneratorSet:
 
 
 def _extract_generators(symbol: FareySymbol) -> GeneratorSet:
+    """Generators from the side pairings: an Even side conjugates S by its side
+    matrix, an Odd side conjugates TS, a Free pair maps its left member onto
+    its right one (T for the boundary pair)."""
     n = symbol.level
+    v = symbol.vertices
     free: list[UniModular] = [T]
     elliptic2: list[UniModular] = []
     elliptic3: list[UniModular] = []
-    rules: list[_SideRule | None] = [None] * len(symbol.pairings)
-    pair_left: dict[int, int] = {}
-    last = len(symbol.pairings) - 1
-    rules[0] = ("free", 0, 1)
-    rules[last] = ("free", 0, -1)
-    for i in range(1, last):
+    rules: list[tuple[str, int, int] | None] = [None] * len(symbol.pairings)
+    open_left: dict[int, tuple[int, UniModular]] = {}  # pair id -> left side, its matrix
+    for i in range(1, len(symbol.pairings) - 1):
         label = symbol.pairings[i]
+        m = _side_matrix(v[i], v[i + 1])
         if label == EVEN:
-            elliptic2.append(symbol.pairing_matrix(i))
+            elliptic2.append(m * S * m.inv())
             rules[i] = ("e2", len(elliptic2) - 1, 1)
         elif label == ODD:
-            elliptic3.append(symbol.pairing_matrix(i))
+            elliptic3.append(m * _TS * m.inv())
             rules[i] = ("e3", len(elliptic3) - 1, 1)
-        elif label[1] in pair_left:
-            left = pair_left[label[1]]
-            g = symbol.side_matrix(i) * S * symbol.side_matrix(left).inv()
-            free.append(g)
+        elif label[1] in open_left:
+            left, m_left = open_left.pop(label[1])
+            free.append(m * S * m_left.inv())
             rules[left] = ("free", len(free) - 1, 1)
             rules[i] = ("free", len(free) - 1, -1)
         else:
-            pair_left[label[1]] = i
+            open_left[label[1]] = (i, m)
     for ms in free + elliptic2 + elliptic3:
         if ms.c % n != 0:
             raise RuntimeError(f"generator {ms} escapes level {n}")
@@ -379,8 +359,7 @@ def generator_set_from_json(doc: dict) -> GeneratorSet:
             tuple(tuple(label) for label in doc["farey"]["pairings"]),
         )
         gens = _extract_generators(symbol)
-    stored = [tuple(m) for m in doc["free"]]
-    if [g.entries() for g in gens.free] != [tuple(m) for m in stored]:
+    if [g.entries() for g in gens.free] != [tuple(m) for m in doc["free"]]:
         raise ValueError(f"cache for level {n} disagrees with its Farey symbol")
     return gens
 
@@ -437,31 +416,16 @@ def reconstruct(word: Word, gens: GeneratorSet) -> UniModular:
 _TORSION_ORDER = {"e2": 2, "e3": 3}
 
 
-def _push_letter(stack: list, ref: tuple[str, int], exp: int) -> None:
-    stack.append([ref, exp])
-    while len(stack) >= 2 and stack[-1][0] == stack[-2][0]:
-        _, merged = stack.pop()
-        stack[-1][1] += merged
-    while stack:
-        kind = stack[-1][0][0]
-        exp = stack[-1][1]
-        if kind in _TORSION_ORDER:
-            stack[-1][1] = exp = exp % _TORSION_ORDER[kind]
-        if exp != 0:
-            break
-        stack.pop()
-        if len(stack) >= 2 and stack[-1][0] == stack[-2][0]:
-            _, merged = stack.pop()
-            stack[-1][1] += merged
-        else:
-            break
-
-
 def _normal_form(raw: list[tuple[tuple[str, int], int]]) -> list:
     stack: list = []
     for ref, exp in raw:
+        if stack and stack[-1][0] == ref:
+            ref, top = stack.pop()
+            exp += top
+        if ref[0] in _TORSION_ORDER:
+            exp %= _TORSION_ORDER[ref[0]]
         if exp:
-            _push_letter(stack, ref, exp)
+            stack.append((ref, exp))
     return stack
 
 
@@ -582,7 +546,7 @@ def decompose(gamma: Gamma0Element, gens: GeneratorSet) -> Word:
         raw = _decompose_level_one(gamma.matrix, gens)
     else:
         raw = _walk_to_translation(gamma.matrix, gens)
-    word = Word(1, tuple((ref, exp) for ref, exp in _normal_form(raw)))
+    word = Word(1, tuple(_normal_form(raw)))
     product = reconstruct(word, gens)
     if product == gamma.matrix:
         return word

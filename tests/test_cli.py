@@ -143,6 +143,7 @@ def test_bad_input_exits_two_with_one_line(capsys, tmp_path):
     not_a_dir.write_text("")
     for argv in (
         ["eval-char", "--level", "7", "--rl", "7=1/0", "--matrix", "-2,1,-7,3"],
+        ["eval-char", "--level", "7", "--rl", "7=1/4,7=1/5", "--matrix", "1,1,0,1"],
         ["beta", "--level", "1"],
         ["rank", "--level", "1"],
         ["--cache-dir", str(not_a_dir), "generators", "--level", "5"],

@@ -175,6 +175,10 @@ def test_integer_rank_examples():
     assert integer_rank([[0, 0], [0, 0], [0, 0]]) == 0
     assert integer_rank([[2, 4], [1, 2]]) == 1
     assert integer_rank([]) == 0
+    assert integer_rank([[], []]) == 0
+    for ragged in ([[], [1, 2]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            integer_rank(ragged)
 
 
 def test_integer_rank_against_fraction_gauss():

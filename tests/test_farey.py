@@ -90,7 +90,7 @@ def test_symbol_structure_small_levels():
     s4 = farey_symbol(4)
     r, e2, e3 = s4.counts()
     assert (r, e2, e3) == (2, 0, 0)
-    assert s4.fractions() == [Fraction(0), Fraction(1, 2), Fraction(1)]
+    assert s4.vertices[1:-1] == ((0, 1), (1, 2), (1, 1))
 
 
 def test_symbol_invariants_reject_bad_data():
@@ -102,9 +102,9 @@ def test_symbol_invariants_reject_bad_data():
 
 def test_boundary_pairing_is_translation():
     for n in (2, 5, 12, 30):
-        s = farey_symbol(n)
-        assert s.pairing_matrix(0) == T
-        assert s.pairing_matrix(len(s.pairings) - 1) == T
+        v = farey_symbol(n).vertices
+        left, right = farey._side_matrix(v[0], v[1]), farey._side_matrix(v[-2], v[-1])
+        assert right * S * left.inv() == T
 
 
 def test_generator_counts_match_published_table():
@@ -181,6 +181,52 @@ def test_decompose_normal_form_constraints():
                     assert exp in (1, 2)
             # determinism
             assert decompose(gamma, gens) == word
+
+
+_ORACLE_TORSION_ORDER = {"e2": 2, "e3": 3}
+
+
+def _oracle_push_letter(stack, ref, exp):
+    stack.append([ref, exp])
+    while len(stack) >= 2 and stack[-1][0] == stack[-2][0]:
+        _, merged = stack.pop()
+        stack[-1][1] += merged
+    while stack:
+        kind = stack[-1][0][0]
+        exp = stack[-1][1]
+        if kind in _ORACLE_TORSION_ORDER:
+            stack[-1][1] = exp = exp % _ORACLE_TORSION_ORDER[kind]
+        if exp != 0:
+            break
+        stack.pop()
+        if len(stack) >= 2 and stack[-1][0] == stack[-2][0]:
+            _, merged = stack.pop()
+            stack[-1][1] += merged
+        else:
+            break
+
+
+def _oracle_normal_form(raw):
+    """Normal form by an earlier two-pass reduction, kept as an oracle."""
+    stack = []
+    for ref, exp in raw:
+        if exp:
+            _oracle_push_letter(stack, ref, exp)
+    return [tuple(letter) for letter in stack]
+
+
+def test_normal_form_matches_oracle():
+    x, y, e2, e3 = ("free", 1), ("free", 2), ("e2", 0), ("e3", 0)
+    assert farey._normal_form([(x, 1), (y, 1), (y, -1), (x, -1)]) == []
+    assert farey._normal_form([(e3, 1), (e3, 1), (e3, 1)]) == []
+    assert farey._normal_form([(x, 1), (e2, 1), (e2, 1), (x, 1)]) == [(x, 2)]
+    refs = [x, y, e2, e3, ("e3", 1)]
+    rng = random.Random(47)
+    for _ in range(20000):
+        raw = [
+            (rng.choice(refs), rng.randint(-4, 4)) for _ in range(rng.randint(0, 30))
+        ]
+        assert farey._normal_form(raw) == _oracle_normal_form(raw), raw
 
 
 def test_decompose_roundtrip_many_levels():
@@ -307,6 +353,12 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
     bad_pairings["farey"]["pairings"][1] = ["free", 99]
     float_vertices = json.loads(json.dumps(expected))
     float_vertices["farey"]["vertices"][1] = [0.0, 1]
+    assert expected["farey"]["pairings"][1] == ["free", 1]
+    bad_labels = []
+    for label in (["free", 1, 2], ["free", 1.0], ["free", True]):
+        doc = json.loads(json.dumps(expected))
+        doc["farey"]["pairings"][1] = label
+        bad_labels.append(json.dumps(doc))
     untagged = json.loads(json.dumps(expected))
     del untagged["construction"]
     corruptions = [
@@ -317,6 +369,7 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
         json.dumps(float_vertices),
         json.dumps(untagged),
         json.dumps(dict(expected, construction=1)),
+        *bad_labels,
         json.dumps(generator_set_to_json(build_generators(13))),
     ]
     path = tmp_path / "gamma0-generators-11.json"
