@@ -6,7 +6,8 @@ for generator sets (--cache-dir, falling back to GAMMA0_CACHE_DIR).
 
 Exit codes: 0 all checks passed, 1 a check failed or an identity was
 violated, 2 usage error, invalid input or an unusable cache directory (one
-``error:`` line on stderr).
+``error:`` line on stderr), 3 an internal error, i.e. any other exception
+(one ``internal error:`` line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -278,6 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {detail}", file=sys.stderr)
+        return 3
     finally:
         set_default_cache_dir(None)
     emit(report, args.output)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .dirichlet import factorize
-from .sl2 import I, NEG_I, S, T, Gamma0Element, UniModular
+from .sl2 import NEG_I, S, T, Gamma0Element, UniModular, mul4, pow4
 
 _TS = T * S  # order six; conjugates of it are the Odd pairing matrices
 
@@ -73,6 +73,9 @@ class FareySymbol:
         for (p1, q1), (p2, q2) in zip(v, v[1:]):
             if p2 * q1 - p1 * q2 != 1:
                 raise ValueError(f"vertices {p1}/{q1}, {p2}/{q2} are not adjacent")
+        boundary = ("free", 0)
+        if not self.pairings or boundary != self.pairings[0] or boundary != self.pairings[-1]:
+            raise ValueError("the two boundary sides must carry the pair label ('free', 0)")
         seen: dict[int, int] = {}
         for label in self.pairings:
             if label not in (EVEN, ODD):
@@ -80,6 +83,7 @@ class FareySymbol:
                     raise ValueError(f"malformed pairing label {label!r}")
                 seen[label[1]] = seen.get(label[1], 0) + 1
         if any(count != 2 for count in seen.values()):
+            # with the boundary check this also keeps id 0 off interior sides
             raise ValueError("every free pair id must occur exactly twice")
 
     def counts(self) -> tuple[int, int, int]:
@@ -407,10 +411,12 @@ def exponent_sum(word: Word, ref: tuple[str, int]) -> int:
 
 
 def reconstruct(word: Word, gens: GeneratorSet) -> UniModular:
-    m = I if word.sign == 1 else NEG_I
+    """The product sign * I * g1**e1 * g2**e2 * ... that ``word`` spells."""
+    m = (1, 0, 0, 1) if word.sign == 1 else (-1, 0, 0, -1)
     for ref, exp in word.letters:
-        m = m * gens.matrix_for(ref) ** exp
-    return m
+        g = gens.matrix_for(ref).entries()
+        m = mul4(m, g if exp == 1 else pow4(g, exp))
+    return UniModular(*m)
 
 
 _TORSION_ORDER = {"e2": 2, "e3": 3}
@@ -427,12 +433,6 @@ def _normal_form(raw: list[tuple[tuple[str, int], int]]) -> list:
         if exp:
             stack.append((ref, exp))
     return stack
-
-
-def _mul4(u: tuple[int, int, int, int], v: tuple[int, int, int, int]):
-    a, b, c, d = u
-    e, f, g, h = v
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
@@ -456,14 +456,14 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
             g = gens.free[idx]
             if orient > 0:
                 return g.entries(), (("free", idx), -1)
-            return g.inv().entries(), (("free", idx), 1)
+            return pow4(g.entries(), -1), (("free", idx), 1)
         if kind == "e2":
             return gens.elliptic2[idx].entries(), (("e2", idx), -1)
         g = gens.elliptic3[idx]
         (p1, q1), (p2, q2) = symbol.vertices[side], symbol.vertices[side + 1]
         if num * (q1 + q2) < (p1 + p2) * den:
             return g.entries(), (("e3", idx), 2)
-        return g.inv().entries(), (("e3", idx), 1)
+        return pow4(g.entries(), -1), (("e3", idx), 1)
 
     while cur[2] != 0:
         a, b, c, d = cur
@@ -486,7 +486,7 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
             for side in (pos, pos + 1):
                 if 1 <= side <= len(rules) - 2:
                     u, letter = crossing(side, num, den)
-                    nxt = _mul4(u, cur)
+                    nxt = mul4(u, cur)
                     candidates.append((abs(nxt[2]), nxt, letter))
             candidates.sort(key=lambda item: item[0])
             if not candidates or candidates[0][0] >= den:
@@ -495,7 +495,7 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
             letters.append(letter)
         else:
             u, letter = crossing(pos + 1, num, den)
-            cur = _mul4(u, cur)
+            cur = mul4(u, cur)
             letters.append(letter)
         state = cur if cur[2] > 0 or (cur[2] == 0 and cur[0] > 0) else tuple(-t for t in cur)
         if state in seen:

@@ -17,11 +17,23 @@ def random_sl2(rng: Random, max_len: int = 40) -> UniModular:
     """A random word of length <= max_len in T, T^-1 and S, multiplied out.
 
     Long enough words reach every sign pattern of the lower row, which the
-    cocycle checks need.
+    cocycle checks need.  The length and the letters are rejection-sampled
+    from ``getrandbits`` exactly as CPython's ``randint(1, max_len)`` and
+    ``randrange(3)`` draw them, so a seed gives the same words and leaves
+    the generator in the same state as those calls would.
     """
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+    getrandbits = rng.getrandbits
+    k = max_len.bit_length()
+    r = getrandbits(k)  # the word has r + 1 letters
+    while r >= max_len:
+        r = getrandbits(k)
     a, b, c, d = 1, 0, 0, 1
-    for _ in range(rng.randint(1, max_len)):
-        choice = rng.randrange(3)
+    for _ in range(r + 1):
+        choice = getrandbits(2)
+        while choice == 3:
+            choice = getrandbits(2)
         if choice == 0:  # right-multiply by T
             b, d = a + b, c + d
         elif choice == 1:  # right-multiply by T^-1

@@ -14,6 +14,32 @@ from . import kernels
 from .exact import CircleExponent
 
 
+Entries = tuple[int, int, int, int]
+
+
+def mul4(u: Entries, v: Entries) -> Entries:
+    """The product of two matrices given as entry tuples (a, b, c, d)."""
+    a, b, c, d = u
+    e, f, g, h = v
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def pow4(u: Entries, n: int) -> Entries:
+    """u**n by square-and-multiply on entry tuples; u must have determinant 1
+    when n < 0, since the inverse is taken as the adjugate."""
+    if n < 0:
+        a, b, c, d = u
+        u, n = (d, -b, -c, a), -n
+    result = (1, 0, 0, 1)
+    while n:
+        if n & 1:
+            result = mul4(result, u)
+        n >>= 1
+        if n:
+            u = mul4(u, u)
+    return result
+
+
 @dataclass(frozen=True)
 class UniModular:
     """A 2x2 integer matrix with determinant 1."""
@@ -27,13 +53,11 @@ class UniModular:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant is not 1: {self.entries()}")
 
-    def entries(self) -> tuple[int, int, int, int]:
+    def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
 
     def __mul__(self, other: "UniModular") -> "UniModular":
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
-        return UniModular(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return UniModular(*mul4(self.entries(), other.entries()))
 
     def inv(self) -> "UniModular":
         return UniModular(self.d, -self.b, -self.c, self.a)
@@ -42,16 +66,7 @@ class UniModular:
         return UniModular(-self.a, -self.b, -self.c, -self.d)
 
     def __pow__(self, n: int) -> "UniModular":
-        if n < 0:
-            return self.inv() ** (-n)
-        result = I
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return UniModular(*pow4(self.entries(), n))
 
     def __str__(self) -> str:
         return f"({self.a},{self.b};{self.c},{self.d})"

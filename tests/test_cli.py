@@ -188,6 +188,26 @@ def test_theorem_violation_exits_one(capsys, monkeypatch):
     assert "witness" in doc
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [RuntimeError("decomposition of (1,0;0,1) failed to close up"), ArithmeticError("x\ny")],
+)
+def test_internal_error_exits_three_with_one_line(capsys, monkeypatch, exc):
+    from gamma0char import cli
+
+    def explode(level, trials, seed):
+        raise exc
+
+    monkeypatch.setattr(cli.verify_mod, "verify_kernel", explode)
+    code = main(["verify", "kernel", "--level", "7", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0] == f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}"
+
+
 def test_cache_dir_used(tmp_path, capsys):
     code, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "generators", "--level", "17")
     assert code == 0

@@ -98,6 +98,21 @@ def test_symbol_invariants_reject_bad_data():
         FareySymbol(4, ((-1, 0), (0, 1), (2, 3), (1, 0)), (("free", 0),) * 3)
     with pytest.raises(ValueError):
         FareySymbol(2, ((-1, 0), (0, 1), (1, 1), (1, 0)), (("free", 0), EVEN, ("free", 1)))
+    # the boundary pair must be id 0, and id 0 must stay off interior sides
+    v11 = farey_symbol(11).vertices
+    assert farey_symbol(11).pairings == tuple(("free", i) for i in (0, 1, 2, 1, 2, 0))
+    for ids in [(1, 0, 2, 0, 2, 1), (0, 0, 2, 0, 2, 0), (0, 1, 2, 1, 2, 2), (2, 1, 0, 1, 0, 2)]:
+        with pytest.raises(ValueError):
+            FareySymbol(11, v11, tuple(("free", i) for i in ids))
+    with pytest.raises(ValueError):
+        FareySymbol(2, ((-1, 0),), ())
+
+
+def test_built_symbols_carry_the_boundary_pair():
+    for n in range(2, 289):
+        pairings = farey_symbol(n).pairings  # validated on construction
+        assert pairings[0] == pairings[-1] == ("free", 0), n
+        assert ("free", 0) not in pairings[1:-1], n
 
 
 def test_boundary_pairing_is_translation():
@@ -248,6 +263,56 @@ def test_decompose_level_one_roundtrip():
         assert reconstruct(word, gens) == m
 
 
+def _frozen_mul(x, y):
+    return UniModular(
+        x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d, x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d
+    )
+
+
+def _frozen_reconstruct(word, gens):
+    """``reconstruct`` as it multiplied ``UniModular`` values (checking every
+    intermediate determinant) before it folded entry tuples; the oracle."""
+    m = I if word.sign == 1 else NEG_I
+    for ref, exp in word.letters:
+        base = gens.matrix_for(ref)
+        if exp < 0:
+            base, exp = UniModular(base.d, -base.b, -base.c, base.a), -exp
+        power = I
+        while exp:
+            if exp & 1:
+                power = _frozen_mul(power, base)
+            base = _frozen_mul(base, base)
+            exp >>= 1
+        m = _frozen_mul(m, power)
+    return m
+
+
+def test_reconstruct_matches_frozen_oracle():
+    rng = random.Random(23)
+    huge = (10**6, -(10**6), 10**6 - 1, -(10**6) + 3)
+    used = set()  # (kind, exponent) pairs met, to show the words cover every case
+    for n in (1, 2, 3, 11, 12, 13, 25, 37):
+        gens = generators(n)
+        refs = [ref for ref, _ in gens.all_generators()]
+        for trial in range(150):
+            letters = []
+            for _ in range(rng.randint(0, 12)):
+                ref = rng.choice(refs)
+                g = gens.matrix_for(ref)
+                if ref[0] != "free":
+                    exp = rng.choice((1, 2, -1))
+                elif abs(g.a + g.d) == 2:  # parabolic: entries grow linearly
+                    exp = rng.choice(huge + (1, -1, 7, -12))
+                else:
+                    exp = rng.choice((1, -1, 2, -3, 25, -40))
+                letters.append((ref, exp))
+                used.add((ref[0], exp))
+            word = Word(-1 if trial % 2 else 1, tuple(letters))
+            assert reconstruct(word, gens) == _frozen_reconstruct(word, gens), (n, word)
+    assert {("e2", 1), ("e3", 2), ("e3", -1), ("free", -40)} <= used
+    assert {("free", e) for e in huge} <= used
+
+
 def test_exponent_sum_examples():
     gens = generators(7)
     word_t = decompose(Gamma0Element(T, 7), gens)
@@ -345,6 +410,22 @@ def test_cache_rejects_corruption(tmp_path):
     doc["free"][1] = [1, 0, 0, 1]
     with pytest.raises(ValueError):
         generator_set_from_json(doc)
+
+
+def test_cache_with_swapped_boundary_id_is_rebuilt(tmp_path):
+    expected = generator_set_to_json(build_generators(11))
+    swapped = json.loads(json.dumps(expected))
+    swap = {0: 1, 1: 0}
+    swapped["farey"]["pairings"] = [[k, swap.get(i, i)] for k, i in expected["farey"]["pairings"]]
+    assert swapped["farey"]["pairings"][0] == ["free", 1]
+    assert swapped["farey"]["pairings"][1] == ["free", 0]
+    path = tmp_path / "gamma0-generators-11.json"
+    path.write_text(json.dumps(swapped))
+    assert load_cached_generators(11, str(tmp_path)) is None
+    farey._memo.pop(11, None)  # as in a fresh process
+    gens = generators(11, str(tmp_path))
+    assert generator_set_to_json(gens) == expected
+    assert json.loads(path.read_text()) == expected
 
 
 def test_corrupt_cache_file_is_rebuilt(tmp_path):

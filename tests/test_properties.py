@@ -1,0 +1,64 @@
+"""Property tests drawn by Hypothesis.
+
+``derandomize=True`` makes every run draw the same examples, so these tests
+are as reproducible as the seeded ones; no example database is kept.
+"""
+
+from math import gcd
+from random import Random
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gamma0char.charformula import KERNEL_LEVELS
+from gamma0char.farey import decompose, generators, reconstruct
+from gamma0char.sampling import random_sl2
+from gamma0char.sl2 import I, NEG_I, Gamma0Element, UniModular, omega, psi
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+ROUNDTRIP_LEVELS = sorted(set(KERNEL_LEVELS) | {6, 12, 30})
+
+
+@st.composite
+def generator_words(draw):
+    """A level and a product of generator powers at that level."""
+    n = draw(st.sampled_from(ROUNDTRIP_LEVELS))
+    gens = generators(n)
+    matrices = [g for _, g in gens.all_generators()]
+    m = draw(st.sampled_from([I, NEG_I]))
+    for g in draw(st.lists(st.sampled_from(matrices), max_size=10)):
+        m = m * g ** draw(st.integers(-6, 6))
+    return Gamma0Element(m, n)
+
+
+@st.composite
+def lower_rows(draw):
+    """A level and an element built from a lower row (c, d) with N | c.
+
+    Normal-form words grow linearly in the entries: the word of
+    (1, 0, N*k, 1) has 3k letters at level 5 and 8k at level 30.  So c
+    stays at the sizes the benchmark draws (N * k, k <= 1000).
+    """
+    n = draw(st.sampled_from(ROUNDTRIP_LEVELS))
+    c = n * draw(st.integers(1, 1000))
+    d = draw(st.integers(-(10**5), 10**5))
+    assume(gcd(c, d) == 1)
+    a = pow(d, -1, c) + c * draw(st.integers(-3, 3))
+    m = UniModular(a, (a * d - 1) // c, c, d)
+    return Gamma0Element(-m if draw(st.booleans()) else m, n)
+
+
+@PROPERTY
+@given(st.one_of(generator_words(), lower_rows()))
+def test_decompose_reconstruct_roundtrip(gamma):
+    gens = generators(gamma.level)
+    assert reconstruct(decompose(gamma, gens), gens) == gamma.matrix
+
+
+@PROPERTY
+@given(st.integers(0, 2**64), st.integers(1, 64), st.integers(1, 64))
+def test_composition_law_on_random_words(seed, len_x, len_y):
+    rng = Random(seed)
+    x, y = random_sl2(rng, len_x), random_sl2(rng, len_y)
+    assert psi(x * y) == psi(x) + psi(y) + omega(x, y)

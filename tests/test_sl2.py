@@ -18,7 +18,9 @@ from gamma0char.sl2 import (
     Gamma0Element,
     UniModular,
     chi_t,
+    mul4,
     omega,
+    pow4,
     psi,
     sigma,
 )
@@ -237,3 +239,50 @@ def test_psi4_rejects_determinant_other_than_one():
     for entries in [(2, 5, 0, 7), (1, 0, 5, 6), (6, 0, 5, 1), (2, 0, 5, 4), (3, 1, -5, 2)]:
         with pytest.raises(ArithmeticError):
             kernels.psi4(*entries)
+
+
+def _randint_random_sl2(rng, max_len=40):
+    """``random_sl2`` as it drew through ``randint``/``randrange`` before it
+    read ``getrandbits`` directly; the oracle for its stream."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(rng.randint(1, max_len)):
+        choice = rng.randrange(3)
+        if choice == 0:
+            b, d = a + b, c + d
+        elif choice == 1:
+            b, d = b - a, d - c
+        else:
+            a, b, c, d = b, -a, d, -c
+    return UniModular(a, b, c, d)
+
+
+def test_random_sl2_draws_the_randint_stream():
+    # 31, 32, 33 and 64 sit at the edges of the length draw's bit width
+    for max_len in (1, 2, 3, 25, 31, 32, 33, 40, 64):
+        for seed in range(300):
+            new, old = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert random_sl2(new, max_len) == _randint_random_sl2(old, max_len)
+            assert new.random() == old.random(), (max_len, seed)
+    new, old = random.Random(11), random.Random(11)
+    assert [random_sl2(new) for _ in range(50)] == [_randint_random_sl2(old) for _ in range(50)]
+    assert new.random() == old.random()
+
+
+def test_random_sl2_rejects_lengths_below_one():
+    for max_len in (0, -1):
+        with pytest.raises(ValueError):
+            random_sl2(random.Random(0), max_len)
+
+
+def test_pow4_matches_repeated_products():
+    rng = random.Random(17)
+    for _ in range(200):
+        x = random_sl2(rng)
+        n = rng.randint(-40, 40)
+        step = x.entries() if n > 0 else x.inv().entries()
+        expected = I.entries()
+        for _ in range(abs(n)):
+            expected = mul4(expected, step)
+        assert pow4(x.entries(), n) == expected
+        assert x**n == UniModular(*expected)
