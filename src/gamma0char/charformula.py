@@ -110,7 +110,8 @@ class SigmaMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def column(self, l: int) -> tuple[int, ...]:
-        return tuple(row[self.cols.index(l)] for row in self.entries)
+        j = self.cols.index(l)
+        return tuple(row[j] for row in self.entries)
 
 
 @lru_cache(maxsize=None)

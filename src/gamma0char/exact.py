@@ -9,6 +9,7 @@ loops add integers over an explicit modulus.  No floating point appears anywhere
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -49,33 +50,40 @@ def gcd_all(xs) -> int:
 
 
 def integer_rank(rows) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free elimination.
+    """Rank over the rationals of an integer matrix, by a fraction-free echelon basis.
 
     ``rows`` is a sequence of equal-length integer sequences; the empty matrix
-    has rank 0.  Bareiss pivoting keeps every intermediate an exact integer.
+    has rank 0, and a ragged one raises ``ValueError`` (every row is checked
+    before any is reduced).  Rows enter one at a time.  Each is reduced against
+    the basis rows in the order they were added: at basis row b's pivot column
+    j, row becomes b[j] * row - row[j] * b, so every intermediate stays an
+    exact integer.  The reduced row is divided by the gcd of its entries, which
+    keeps entries from growing row after row, and joins the basis, pivoting at
+    its first nonzero column, unless it is zero.  The basis spans the rows seen
+    so far, so the rank is its size, and the walk stops as soon as that size
+    reaches min(rows, columns).
     """
-    m = [list(row) for row in rows]
-    ncols = len(m[0]) if m else 0
-    if any(len(row) != ncols for row in m):
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
         raise ValueError("ragged matrix")
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < len(m) and col < ncols:
-        pivot_row = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot_row is None:
-            col += 1
+    full = min(len(rows), ncols)
+    basis: list[tuple[int, Sequence[int]]] = []  # (pivot column, row)
+    for row in rows:
+        if len(basis) == full:
+            break
+        for j, b in basis:
+            x = row[j]
+            if x:
+                p = b[j]
+                row = [p * u - x * v for u, v in zip(row, b)]
+        g = math.gcd(*row)
+        if not g:
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            factor = m[i][col]
-            for j in range(col, ncols):
-                m[i][j] = (pivot * m[i][j] - factor * m[rank][j]) // prev
-        prev = pivot
-        rank += 1
-        col += 1
-    return rank
+        if g > 1:
+            row = [u // g for u in row]
+        basis.append((next(j for j, u in enumerate(row) if u), row))
+    return len(basis)
 
 
 def fraction_to_str(x: Fraction) -> str:

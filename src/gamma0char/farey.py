@@ -25,12 +25,10 @@ import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .dirichlet import factorize
-from .sl2 import NEG_I, S, T, Gamma0Element, UniModular, mul4, pow4
-
-_TS = T * S  # order six; conjugates of it are the Odd pairing matrices
+from .sl2 import NEG_I, S, T, Entries, Gamma0Element, UniModular, mul4, pow4
 
 EVEN = ("even",)
 ODD = ("odd",)
@@ -46,10 +44,20 @@ def index_gamma0(n: int) -> int:
     return ix
 
 
-def _side_matrix(v_left: tuple[int, int], v_right: tuple[int, int]) -> UniModular:
-    """Matrix taking the imaginary axis to the side: 0 -> left, oo -> right."""
-    (p1, q1), (p2, q2) = v_left, v_right
-    return UniModular(p2, p1, q2, q1)
+def closed_form_counts(n: int) -> tuple[int, int, int]:
+    """(r, e2, e3) for Gamma0(n) from the factorisation of n alone.
+
+    e2 = prod over p | n of (1 + (-1/p)) unless 4 | n, else 0;
+    e3 = prod over p | n of (1 + (-3/p)) unless 9 | n, else 0;
+    6r = index + 6 - 3*e2 - 4*e3 (Shimura, *Introduction to the Arithmetic
+    Theory of Automorphic Functions*, Prop. 1.43).  A Legendre factor is 2 for
+    a split prime, 0 for an inert one and 1 for p = 2 (e2) or p = 3 (e3).
+    Level 1 gives (0, 1, 1), the counts of {S, ST}.
+    """
+    primes = [p for p, _ in factorize(n)]
+    e2 = 0 if n % 4 == 0 else prod({1: 2, 2: 1, 3: 0}[p % 4] for p in primes)
+    e3 = 0 if n % 9 == 0 else prod({1: 2, 0: 1, 2: 0}[p % 3] for p in primes)
+    return (index_gamma0(n) + 6 - 3 * e2 - 4 * e3) // 6, e2, e3
 
 
 @dataclass(frozen=True)
@@ -233,48 +241,69 @@ class GeneratorSet:
 def _extract_generators(symbol: FareySymbol) -> GeneratorSet:
     """Generators from the side pairings: an Even side conjugates S by its side
     matrix, an Odd side conjugates TS, a Free pair maps its left member onto
-    its right one (T for the boundary pair)."""
+    its right one (T for the boundary pair).
+
+    The label counts are checked against the measure and the closed forms
+    first.  The products run on entry tuples, with the adjugate of a side
+    matrix as its inverse; each generator is checked (level, h^2 or h^3 = -I)
+    and then built as one ``UniModular``.
+    """
     n = symbol.level
+    counts = symbol.counts()
+    r, e2, e3 = counts
+    # the measure r = index/6 + 1 - e2/2 - 2*e3/3, cleared of denominators
+    measure6 = index_gamma0(n) + 6 - 3 * e2 - 4 * e3
+    if measure6 != 6 * r:
+        raise RuntimeError(
+            f"level {n}: {r} free generators against measure {Fraction(measure6, 6)}"
+        )
+    if counts != closed_form_counts(n):
+        raise RuntimeError(
+            f"level {n}: counts {counts} against closed forms {closed_form_counts(n)}"
+        )
     v = symbol.vertices
-    free: list[UniModular] = [T]
-    elliptic2: list[UniModular] = []
-    elliptic3: list[UniModular] = []
+    free: list[Entries] = [T.entries()]
+    elliptic2: list[Entries] = []
+    elliptic3: list[Entries] = []
     rules: list[tuple[str, int, int] | None] = [None] * len(symbol.pairings)
-    open_left: dict[int, tuple[int, UniModular]] = {}  # pair id -> left side, its matrix
+    open_left: dict[int, tuple[int, Entries]] = {}  # pair id -> left side, its inverse
     for i in range(1, len(symbol.pairings) - 1):
         label = symbol.pairings[i]
-        m = _side_matrix(v[i], v[i + 1])
+        # side i has the matrix m = (p2, p1, q2, q1) taking 0 to its left
+        # vertex and oo to its right one; m S = (p1, -p2, q1, -q2),
+        # m TS = (p1 + p2, -p2, q1 + q2, -q2), and m^-1 is the adjugate
+        (p1, q1), (p2, q2) = v[i], v[i + 1]
+        inv = (q1, -p1, -q2, p2)
         if label == EVEN:
-            elliptic2.append(m * S * m.inv())
+            elliptic2.append(mul4((p1, -p2, q1, -q2), inv))  # m S m^-1
             rules[i] = ("e2", len(elliptic2) - 1, 1)
         elif label == ODD:
-            elliptic3.append(m * _TS * m.inv())
+            elliptic3.append(mul4((p1 + p2, -p2, q1 + q2, -q2), inv))  # m TS m^-1
             rules[i] = ("e3", len(elliptic3) - 1, 1)
         elif label[1] in open_left:
-            left, m_left = open_left.pop(label[1])
-            free.append(m * S * m_left.inv())
+            left, inv_left = open_left.pop(label[1])
+            free.append(mul4((p1, -p2, q1, -q2), inv_left))  # m S m_left^-1
             rules[left] = ("free", len(free) - 1, 1)
             rules[i] = ("free", len(free) - 1, -1)
         else:
-            open_left[label[1]] = (i, m)
-    for ms in free + elliptic2 + elliptic3:
-        if ms.c % n != 0:
-            raise RuntimeError(f"generator {ms} escapes level {n}")
+            open_left[label[1]] = (i, inv)
+    for h in free + elliptic2 + elliptic3:
+        if h[2] % n != 0:
+            raise RuntimeError(f"generator {h} escapes level {n}")
+    neg_i = NEG_I.entries()
     for h in elliptic2:
-        if h * h != NEG_I:
+        if mul4(h, h) != neg_i:
             raise RuntimeError(f"even generator {h} does not square to -I")
     for h in elliptic3:
-        if h * h * h != NEG_I:
+        if mul4(mul4(h, h), h) != neg_i:
             raise RuntimeError(f"odd generator {h} does not cube to -I")
-    # the measure r = index/6 + 1 - e2/2 - 2*e3/3, cleared of denominators
-    measure6 = index_gamma0(n) + 6 - 3 * len(elliptic2) - 4 * len(elliptic3)
-    if measure6 != 6 * len(free):
-        expected_r = Fraction(measure6, 6)
-        raise RuntimeError(
-            f"level {n}: {len(free)} free generators against measure {expected_r}"
-        )
     return GeneratorSet(
-        n, tuple(free), tuple(elliptic2), tuple(elliptic3), symbol, tuple(rules)
+        n,
+        tuple(UniModular(*h) for h in free),
+        tuple(UniModular(*h) for h in elliptic2),
+        tuple(UniModular(*h) for h in elliptic3),
+        symbol,
+        tuple(rules),
     )
 
 

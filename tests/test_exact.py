@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from gamma0char.charformula import sigma_matrix
 from gamma0char.exact import (
     CircleExponent,
     dedekind_sum,
@@ -176,7 +177,8 @@ def test_integer_rank_examples():
     assert integer_rank([[2, 4], [1, 2]]) == 1
     assert integer_rank([]) == 0
     assert integer_rank([[], []]) == 0
-    for ragged in ([[], [1, 2]], [[1, 2], [3]]):
+    # the last row is ragged, and full rank is reached before it
+    for ragged in ([[], [1, 2]], [[1, 2], [3]], [[1, 0], [0, 1], [1]], [[1], [2, 3]]):
         with pytest.raises(ValueError, match="ragged matrix"):
             integer_rank(ragged)
 
@@ -204,6 +206,75 @@ def test_integer_rank_against_fraction_gauss():
         cols = rng.randrange(1, 6)
         m = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
         assert integer_rank(m) == rank_fractions(m)
+
+
+def _frozen_bareiss_rank(rows):
+    """Bareiss elimination over every row, as ``integer_rank`` ran it before
+    the echelon basis; kept as a frozen oracle."""
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    if any(len(row) != ncols for row in m):
+        raise ValueError("ragged matrix")
+    rank = 0
+    prev = 1
+    col = 0
+    while rank < len(m) and col < ncols:
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            col += 1
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot = m[rank][col]
+        for i in range(rank + 1, len(m)):
+            factor = m[i][col]
+            for j in range(col, ncols):
+                m[i][j] = (pivot * m[i][j] - factor * m[rank][j]) // prev
+        prev = pivot
+        rank += 1
+        col += 1
+    return rank
+
+
+def test_integer_rank_matches_frozen_bareiss():
+    rng = random.Random(10)
+    seen = set()
+    for trial in range(1500):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        bound = rng.choice((1, 5, 10**6, 10**30))
+        if trial % 2:
+            # rank deficient: every row an integer combination of k basis rows
+            k = rng.randrange(min(nrows, ncols))
+            basis = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(k)]
+            coeffs = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(nrows)]
+            m = [[sum(x * b[j] for x, b in zip(cs, basis)) for j in range(ncols)] for cs in coeffs]
+        else:
+            k = None
+            m = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3:
+            m[rng.randrange(nrows)] = [0] * ncols
+        if rng.random() < 0.3:
+            j = rng.randrange(ncols)
+            for row in m:
+                row[j] = 0
+        rank = integer_rank(m)
+        assert rank == _frozen_bareiss_rank(m), m
+        if k is not None:
+            assert rank <= k
+        shape = "tall" if nrows > ncols else "wide" if nrows < ncols else "square"
+        seen.add((shape, rank < min(nrows, ncols), bound))
+        seen.add("zero row" if not all(map(any, m)) else "no zero row")
+        seen.add("zero column" if not all(map(any, zip(*m))) else "no zero column")
+    shapes = ("tall", "wide", "square")
+    assert {(s, d, b) for s in shapes for d in (False, True) for b in (1, 10**30)} <= seen
+    assert {"zero row", "zero column"} <= seen
+
+
+def test_integer_rank_matches_frozen_bareiss_on_sigma_matrices():
+    for n in range(2, 601):
+        m = sigma_matrix(n).entries
+        rank = integer_rank(m)
+        assert rank == _frozen_bareiss_rank(m), n
+        assert rank <= len(m[0])
 
 
 def test_gcd_all():

@@ -1,20 +1,20 @@
 """Farey symbols, generator sets, the measure formula, word decomposition."""
 
 import json
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from gamma0char import farey
-from gamma0char.dirichlet import factorize
 from gamma0char.farey import (
     EVEN,
     ODD,
     FareySymbol,
+    GeneratorSet,
     Word,
     build_generators,
+    closed_form_counts,
     decompose,
     exponent_sum,
     farey_symbol,
@@ -115,11 +115,115 @@ def test_built_symbols_carry_the_boundary_pair():
         assert ("free", 0) not in pairings[1:-1], n
 
 
+def _side_matrix(v_left, v_right):
+    """The matrix taking 0 to the left vertex of a side and oo to its right one."""
+    (p1, q1), (p2, q2) = v_left, v_right
+    return UniModular(p2, p1, q2, q1)
+
+
 def test_boundary_pairing_is_translation():
     for n in (2, 5, 12, 30):
         v = farey_symbol(n).vertices
-        left, right = farey._side_matrix(v[0], v[1]), farey._side_matrix(v[-2], v[-1])
+        left, right = _side_matrix(v[0], v[1]), _side_matrix(v[-2], v[-1])
         assert right * S * left.inv() == T
+
+
+def _frozen_extract_generators(symbol):
+    """``_extract_generators`` as it formed every generator from checked
+    ``UniModular`` products before it worked on entry tuples; the oracle."""
+    n = symbol.level
+    v = symbol.vertices
+    ts = T * S
+    free, elliptic2, elliptic3 = [T], [], []
+    rules = [None] * len(symbol.pairings)
+    open_left = {}
+    for i in range(1, len(symbol.pairings) - 1):
+        label = symbol.pairings[i]
+        m = _side_matrix(v[i], v[i + 1])
+        if label == EVEN:
+            elliptic2.append(m * S * m.inv())
+            rules[i] = ("e2", len(elliptic2) - 1, 1)
+        elif label == ODD:
+            elliptic3.append(m * ts * m.inv())
+            rules[i] = ("e3", len(elliptic3) - 1, 1)
+        elif label[1] in open_left:
+            left, m_left = open_left.pop(label[1])
+            free.append(m * S * m_left.inv())
+            rules[left] = ("free", len(free) - 1, 1)
+            rules[i] = ("free", len(free) - 1, -1)
+        else:
+            open_left[label[1]] = (i, m)
+    for ms in free + elliptic2 + elliptic3:
+        if ms.c % n != 0:
+            raise RuntimeError(f"generator {ms} escapes level {n}")
+    for h in elliptic2:
+        if h * h != NEG_I:
+            raise RuntimeError(f"even generator {h} does not square to -I")
+    for h in elliptic3:
+        if h * h * h != NEG_I:
+            raise RuntimeError(f"odd generator {h} does not cube to -I")
+    measure6 = index_gamma0(n) + 6 - 3 * len(elliptic2) - 4 * len(elliptic3)
+    if measure6 != 6 * len(free):
+        raise RuntimeError(f"level {n}: {len(free)} free generators against measure")
+    return GeneratorSet(n, tuple(free), tuple(elliptic2), tuple(elliptic3), symbol, tuple(rules))
+
+
+def test_extract_generators_matches_frozen_oracle():
+    for n in range(2, 401):
+        symbol = farey_symbol(n)
+        expected = _frozen_extract_generators(symbol)
+        gens = farey._extract_generators(symbol)
+        # dataclass equality compares generators, symbol and side rules
+        assert gens == expected, n
+
+
+def _relabelled(symbol, labels):
+    """The symbol with the sides in ``labels`` (side -> label) relabelled."""
+    pairings = tuple(labels.get(i, label) for i, label in enumerate(symbol.pairings))
+    return FareySymbol(symbol.level, symbol.vertices, pairings)
+
+
+def test_extract_rejects_relabelled_sides():
+    symbol = farey_symbol(13)
+    assert symbol.counts() == (1, 2, 2)
+    even = [i for i, label in enumerate(symbol.pairings) if label == EVEN]
+    odd = [i for i, label in enumerate(symbol.pairings) if label == ODD]
+    for side, label in ((even[0], ODD), (odd[0], EVEN)):
+        with pytest.raises(RuntimeError, match="measure"):
+            farey._extract_generators(_relabelled(symbol, {side: label}))
+    # two Even sides as one free pair keep the measure, not the closed forms
+    both = _relabelled(symbol, {even[0]: ("free", 9), even[1]: ("free", 9)})
+    assert both.counts() == (2, 0, 2)
+    with pytest.raises(RuntimeError, match="closed forms"):
+        farey._extract_generators(both)
+
+
+def test_extract_rejects_swapped_free_partners():
+    symbol = farey_symbol(11)
+    assert symbol.pairings == tuple(("free", i) for i in (0, 1, 2, 1, 2, 0))
+    swapped = FareySymbol(11, symbol.vertices, tuple(("free", i) for i in (0, 1, 2, 2, 1, 0)))
+    with pytest.raises(RuntimeError, match="escapes level 11"):
+        farey._extract_generators(swapped)
+
+
+def _unvalidated_symbol(level, vertices, pairings):
+    """A FareySymbol that skipped ``__post_init__``, as corrupted state would."""
+    symbol = object.__new__(FareySymbol)
+    for name, value in (("level", level), ("vertices", vertices), ("pairings", pairings)):
+        object.__setattr__(symbol, name, value)
+    return symbol
+
+
+def test_extract_order_checks_catch_a_side_of_determinant_four():
+    # vertices 0/2 and 2/2 give the side matrix (2, 0, 2, 2), twice a matrix
+    # of determinant 1: each elliptic generator is 4 times an element of
+    # Gamma0(N) and lies in the level, so only the order checks can see it
+    vertices = ((-1, 0), (0, 2), (2, 2), (1, 0))
+    boundary = ("free", 0)
+    for n, label, order in ((2, EVEN, "square"), (3, ODD, "cube")):
+        symbol = _unvalidated_symbol(n, vertices, (boundary, label, boundary))
+        with pytest.raises(RuntimeError, match=f"does not {order} to -I"):
+            farey._extract_generators(symbol)
 
 
 def test_generator_counts_match_published_table():
@@ -370,16 +474,28 @@ def test_vertex_denominators_bounded_by_level():
         assert max(q for _, q in gens.symbol.vertices) <= n, n
         r, e2, e3 = gens.counts()
         assert r == Fraction(index_gamma0(n), 6) + 1 - Fraction(e2, 2) - Fraction(2 * e3, 3)
-        # closed forms (Shimura, Prop. 1.43), independent of the symbol:
-        # e2 = prod (1 + (-1/p)) unless 4 | N, e3 = prod (1 + (-3/p)) unless 9 | N,
-        # a factor 2 for p split, 0 for p inert, 1 for p = 2 (e2) or p = 3 (e3)
-        primes = [p for p, _ in factorize(n)]
-        e2_closed = 0 if n % 4 == 0 else math.prod({1: 2, 2: 1, 3: 0}[p % 4] for p in primes)
-        e3_closed = 0 if n % 9 == 0 else math.prod({1: 2, 0: 1, 2: 0}[p % 3] for p in primes)
-        assert (e2, e3) == (e2_closed, e3_closed), n
-        assert 6 * r == index_gamma0(n) + 6 - 3 * e2_closed - 4 * e3_closed, n
+        # closed forms (Shimura, Prop. 1.43), independent of the symbol
+        assert (r, e2, e3) == closed_form_counts(n), n
         if n in TABLE1_COUNTS:
             assert gens.counts() == TABLE1_COUNTS[n]
+
+
+def test_closed_form_counts_by_hand():
+    assert closed_form_counts(1) == build_generators(1).counts() == (0, 1, 1)
+    for n, expected in TABLE1_COUNTS.items():
+        assert closed_form_counts(n) == expected, n
+    # 9: index 12, 3 inert for e2 and 9 | N; 65 = 5 * 13: both split for e2,
+    # 5 inert for e3; 91 = 7 * 13: 7 inert for e2, both split for e3
+    assert closed_form_counts(9) == (3, 0, 0)
+    assert closed_form_counts(65) == (13, 4, 0)
+    assert closed_form_counts(91) == (17, 0, 4)
+    assert closed_form_counts(4 * 9 * 5) == (index_gamma0(180) // 6 + 1, 0, 0)
+
+
+def test_closed_form_measure_is_integral():
+    for n in range(1, 5001):
+        r, e2, e3 = closed_form_counts(n)
+        assert 6 * r == index_gamma0(n) + 6 - 3 * e2 - 4 * e3, n
 
 
 def test_cache_roundtrip(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gamma0char.charformula import KERNEL_LEVELS
+from gamma0char.exact import integer_rank
 from gamma0char.farey import decompose, generators, reconstruct
 from gamma0char.sampling import random_sl2
 from gamma0char.sl2 import I, NEG_I, Gamma0Element, UniModular, omega, psi
@@ -62,3 +63,45 @@ def test_composition_law_on_random_words(seed, len_x, len_y):
     rng = Random(seed)
     x, y = random_sl2(rng, len_x), random_sl2(rng, len_y)
     assert psi(x * y) == psi(x) + psi(y) + omega(x, y)
+
+
+# small entries make rank-deficient matrices common; huge ones test growth
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 7 rows of 1 to 6 integer columns each."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, max_size=7))
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_rank_of_transpose(m):
+    rank = integer_rank(m)
+    assert rank == integer_rank([list(col) for col in zip(*m)])
+    assert rank <= min(len(m), len(m[0]) if m else 0)
+
+
+@PROPERTY
+@given(integer_matrices(), st.data())
+def test_rank_under_row_permutation_and_scaling(m, data):
+    rank = integer_rank(m)
+    assert integer_rank(data.draw(st.permutations(m))) == rank
+    if m:
+        i = data.draw(st.integers(0, len(m) - 1))
+        scale = data.draw(st.integers(-(10**12), 10**12).filter(bool))
+        assert integer_rank(m[:i] + [[scale * x for x in m[i]]] + m[i + 1 :]) == rank
+
+
+@PROPERTY
+@given(integer_matrices(), st.data())
+def test_rank_with_an_appended_combination(m, data):
+    rank = integer_rank(m)
+    if m:
+        coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(m), max_size=len(m)))
+        combination = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(len(m[0]))]
+        position = data.draw(st.integers(0, len(m)))
+        assert integer_rank(m[:position] + [combination] + m[position:]) == rank
