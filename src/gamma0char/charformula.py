@@ -6,6 +6,10 @@ without decomposing it into generators.  The sigma matrix collects the values
 of the difference homomorphisms on the free generators; its gcd per column is
 the positive generator beta(N, l) of the image, and its rank drives the
 surjectivity analysis in ``verify``.
+
+A scan visits each level once, so ``sigma_matrix`` keeps only the most recent
+level's matrix.  What later levels need of it, the column gcds beta(N, l),
+stays in a per-process table of small integers that ``beta`` reads.
 """
 
 from __future__ import annotations
@@ -114,9 +118,17 @@ class SigmaMatrix:
         return tuple(row[j] for row in self.entries)
 
 
-@lru_cache(maxsize=None)
+# beta(N, l) for every level whose sigma matrix was computed: {N: {l: beta}}
+_beta_table: dict[int, dict[int, int]] = {}
+
+
+@lru_cache(maxsize=1)
 def sigma_matrix(n: int) -> SigmaMatrix:
-    """The r x (t-1) integer matrix of sigma values at level n >= 2."""
+    """The r x (t-1) integer matrix of sigma values at level n >= 2.
+
+    Only the most recent level's matrix is kept; computing one also records
+    its column gcds, the beta(n, l), for ``beta``.
+    """
     if n < 2:
         raise ValueError(f"level must be at least 2, got {n}")
     # every free generator lies in Gamma0(n), so each column l divides its c
@@ -125,6 +137,7 @@ def sigma_matrix(n: int) -> SigmaMatrix:
     for g in generators(n).free:
         psi_g = psi(g)
         rows.append(tuple(psi_g - psi_conjugate(g, l) for l in cols))
+    _beta_table[n] = dict(zip(cols, map(gcd_all, zip(*rows))))
     return SigmaMatrix(n, cols, tuple(rows))
 
 
@@ -132,13 +145,17 @@ def beta(n: int, l: int) -> int:
     """The positive generator of the image of sigma_l on Gamma0(N).
 
     The image is generated by the values on the free generators, so beta is
-    their gcd; it is strictly positive because sigma_l(T) = 1 - l != 0.
+    their gcd; it is strictly positive because sigma_l(T) = 1 - l != 0.  It
+    is read from the table ``sigma_matrix`` fills, which builds the level's
+    matrix only on a miss.
     """
     if n < 2:
         raise ValueError(f"level must be at least 2, got {n}")
     if l <= 1 or n % l != 0:
         raise ValueError(f"l must be a divisor of {n} above 1, got {l}")
-    value = gcd_all(sigma_matrix(n).column(l))
+    if n not in _beta_table:
+        sigma_matrix(n)
+    value = _beta_table[n][l]
     if value <= 0:
         raise TheoremViolation(f"image of sigma_{n},{l} is trivial")
     return value

@@ -18,7 +18,6 @@ base polygon, crossing one paired side at a time.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import tempfile
@@ -102,13 +101,13 @@ class FareySymbol:
         return r, e2, e3
 
 
-def _p1_point(c: int, d: int, n: int, units: bytes) -> tuple[int, int]:
+def _p1_point(c: int, d: int, n: int, units: list[int]) -> tuple[int, int]:
     """Normalised representative of (c : d) in P^1(Z/nZ), for gcd(c, d) = 1.
 
     A unit scales c to g = gcd(c, n); the units fixing g are those congruent
     to 1 mod n/g, and the least residue they make of d is taken (Cremona,
     *Algorithms for Modular Elliptic Curves*, section 2.2).  ``units[t]`` is
-    true when t is a unit mod n.
+    nonzero exactly when t is a unit mod n.
     """
     c %= n
     if c == 0:
@@ -130,63 +129,79 @@ def _p1_point(c: int, d: int, n: int, units: bytes) -> tuple[int, int]:
 def farey_symbol(n: int) -> FareySymbol:
     """Build a Farey symbol for level n >= 2 by breadth-first mediant subdivision.
 
-    Open sides wait in a heap keyed by their mediant (denominator, then
-    numerator), and the smallest is subdivided next.  The two sides a
-    subdivision creates are labelled at once: a side with denominators
-    (b, d) is Even iff b^2 + d^2 = 0 and Odd iff b^2 + bd + d^2 = 0 (mod n);
-    otherwise it pairs freely with an open side at the point (d : -b) of
-    P^1(Z/nZ), looked up by normalised point, or stays open.  The vertex chain
-    is read off the subdivision tree in order.  Raises RuntimeError if a
-    vertex denominator would exceed n.
+    Open sides wait in buckets by mediant denominator; the buckets are taken
+    in increasing order, each by mediant numerator, so the smallest mediant
+    is subdivided next.  The two sides a subdivision creates are labelled at
+    once: a side with denominators (b, d) is Even iff b^2 + d^2 = 0 and Odd
+    iff b^2 + bd + d^2 = 0 (mod n); otherwise it pairs freely with the
+    oldest open side waiting at its point (b : d) of P^1(Z/nZ), or waits at
+    the point (d : -b) itself.  A point (c : d) is keyed as c/d when d is a
+    unit, as n + d/c when c is, and by ``_p1_point`` otherwise.  The vertex
+    chain is read off the subdivision tree in order.  Raises RuntimeError if
+    a vertex denominator would exceed n.
     """
     if n < 2:
         raise ValueError("levels below 2 have no Farey symbol here; see generators()")
-    units = bytes(gcd(t, n) == 1 for t in range(n))
-    # side s joins ends[s]; a subdivided side has its two halves in
-    # children[s], a final one its label in labels[s]
+    inverse = [0] * n  # t^-1 mod n for a unit t, 0 for a non-unit
+    for t in range(1, n):
+        if gcd(t, n) == 1:
+            inverse[t] = pow(t, -1, n)
+    # side s joins ends[s]; labels[s] stays None while s is open or once it
+    # is subdivided, and a subdivided side has its two halves in children[s]
     ends: list[tuple[tuple[int, int], tuple[int, int]]] = []
     labels: list[tuple | None] = []
     children: dict[int, tuple[int, int]] = {}
-    waiting: dict[tuple[int, int], list[int]] = {}  # partner point -> open sides
-    open_at: dict[int, tuple[int, int]] = {}  # open side -> its key in waiting
-    heap: list[tuple[int, int, int]] = []
+    waiting: dict[object, list[int]] = {}  # point -> open sides, oldest first
+    # mediant denominator -> (mediant numerator, open side, its waiting point)
+    buckets: dict[int, list[tuple[int, int, object]]] = {}
     next_pair = 1
 
-    def new_side(v_left: tuple[int, int], v_right: tuple[int, int]) -> int:
+    def point(c: int, d: int):  # the key of (c : d), gcd(c, d) = 1
+        c %= n
+        d %= n
+        if inverse[d]:
+            return c * inverse[d] % n
+        if inverse[c]:
+            return n + d * inverse[c] % n
+        return _p1_point(c, d, n, inverse)
+
+    def add_side(v_left: tuple[int, int], v_right: tuple[int, int]) -> None:
         nonlocal next_pair
-        s = len(labels)
-        ends.append((v_left, v_right))
-        labels.append(None)
         b, d = v_left[1], v_right[1]
         if (b * b + d * d) % n == 0:
-            labels[s] = EVEN
+            label = EVEN
         elif (b * b + b * d + d * d) % n == 0:
-            labels[s] = ODD
+            label = ODD
         else:
-            partners = waiting.get(_p1_point(b, d, n, units))
+            partners = waiting.get(point(b, d))
             if partners:
-                t = partners.pop(0)
-                del open_at[t]
-                labels[s] = labels[t] = ("free", next_pair)
+                label = labels[partners.pop(0)] = ("free", next_pair)
                 next_pair += 1
             else:
-                key = _p1_point(d, -b, n, units)
-                waiting.setdefault(key, []).append(s)
-                open_at[s] = key
-                heapq.heappush(heap, (b + d, v_left[0] + v_right[0], s))
-        return s
+                # wait at the partner point (d : -b)
+                key = point(d, -b)
+                waiting.setdefault(key, []).append(len(labels))
+                entry = (v_left[0] + v_right[0], len(labels), key)
+                buckets.setdefault(b + d, []).append(entry)
+                label = None
+        ends.append((v_left, v_right))
+        labels.append(label)
 
-    new_side((0, 1), (1, 1))
-    while heap:
-        q, p, s = heapq.heappop(heap)
-        key = open_at.pop(s, None)
-        if key is None:
-            continue  # paired after it was queued
-        if q > n:
+    add_side((0, 1), (1, 1))
+    # a subdivision only makes mediants of larger denominator, so bucket q is
+    # complete when it is reached
+    for q in range(2, n + 1):
+        for p, s, key in sorted(buckets.pop(q, ())):
+            if labels[s] is not None:
+                continue  # paired after it was queued
+            waiting[key].remove(s)
+            v_left, v_right = ends[s]
+            children[s] = (len(labels), len(labels) + 1)
+            add_side(v_left, (p, q))
+            add_side((p, q), v_right)
+    for q in sorted(buckets):
+        if any(labels[s] is None for _, s, _ in buckets[q]):
             raise RuntimeError(f"level {n}: vertex denominator {q} exceeds the level")
-        waiting[key].remove(s)
-        v_left, v_right = ends[s]
-        children[s] = (new_side(v_left, (p, q)), new_side((p, q), v_right))
     verts: list[tuple[int, int]] = [(-1, 0)]
     pairings: list[tuple] = [("free", 0)]  # the boundary pair, realised by T
     stack = [0]
@@ -307,7 +322,7 @@ def _extract_generators(symbol: FareySymbol) -> GeneratorSet:
     )
 
 
-_memo: dict[int, GeneratorSet] = {}
+_memo: dict[int, GeneratorSet] = {}  # the most recent level only
 _default_cache_dir: str | None = None
 
 
@@ -327,7 +342,12 @@ def build_generators(n: int) -> GeneratorSet:
 
 
 def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
-    """Generator set for Gamma0(N), memoized in process and optionally on disk."""
+    """Generator set for Gamma0(N), memoized in process and optionally on disk.
+
+    The in-process memo holds one level, the most recent: repeated calls at
+    one level return the same object, and a scan over levels keeps one set
+    in memory.
+    """
     cache_dir = cache_dir or _default_cache_dir
     gens = _memo.get(n)
     if gens is not None:
@@ -341,6 +361,7 @@ def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
         gens = build_generators(n)
         if cache_dir:
             save_cached_generators(gens, cache_dir)
+    _memo.clear()
     _memo[n] = gens
     return gens
 

@@ -94,19 +94,3 @@ def psi4(a: int, b: int, c: int, d: int) -> int:
         return a // c + 3 - _walk(-d, -c)
     return b if a > 0 else -b - 6
 
-
-def scan_fast_vs_naive(kmax: int) -> int:
-    """Compare the two Dedekind sum routes on every coprime pair with k <= kmax.
-
-    Returns the number of pairs checked; raises AssertionError on the first
-    disagreement.
-    """
-    checked = 0
-    for k in range(1, kmax + 1):
-        for h in range(k):  # h = 0 is coprime to k only at k = 1
-            if gcd(h, k) != 1:
-                continue
-            if dedekind_fast(h, k) != dedekind_naive(h, k):
-                raise AssertionError(f"dedekind mismatch at (h, k) = ({h}, {k})")
-            checked += 1
-    return checked

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gamma0char import charformula
 from gamma0char.charformula import (
     KERNEL_LEVELS,
     CharacterParams,
@@ -198,6 +199,20 @@ def test_sigma_matrix_recomputes_from_sigma():
         for row, g in zip(mat.entries, gens.free):
             for value, l in zip(row, mat.cols):
                 assert value == sigma(Gamma0Element(g, n), l)
+
+
+def test_beta_table_matches_full_matrix_oracle():
+    # oracle: gcd_all over the whole sigma column of the free generators
+    for n in range(2, 301):
+        gens = generators(n)
+        for l in divisors(n)[1:]:
+            column = [sigma(Gamma0Element(g, n), l) for g in gens.free]
+            assert beta(n, l) == gcd_all(column), (n, l)
+    assert set(range(2, 301)) <= set(charformula._beta_table)
+    # a table hit builds no matrix
+    misses = sigma_matrix.cache_info().misses
+    assert beta(12, 12) == 1 and beta(288, 2) == 1
+    assert sigma_matrix.cache_info().misses == misses
 
 
 def test_beta_table_values():

@@ -1,8 +1,10 @@
 """Farey symbols, generator sets, the measure formula, word decomposition."""
 
+import heapq
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -175,6 +177,109 @@ def test_extract_generators_matches_frozen_oracle():
         gens = farey._extract_generators(symbol)
         # dataclass equality compares generators, symbol and side rules
         assert gens == expected, n
+
+
+def _frozen_p1_point(c: int, d: int, n: int, units: bytes) -> tuple[int, int]:
+    """Normalised representative of (c : d) in P^1(Z/nZ), for gcd(c, d) = 1.
+
+    A unit scales c to g = gcd(c, n); the units fixing g are those congruent
+    to 1 mod n/g, and the least residue they make of d is taken (Cremona,
+    *Algorithms for Modular Elliptic Curves*, section 2.2).  ``units[t]`` is
+    true when t is a unit mod n.
+    """
+    c %= n
+    if c == 0:
+        return 0, 1
+    g = gcd(c, n)
+    step = n // g
+    s = pow(c // g, -1, step)
+    while not units[s]:
+        s += step
+    d = d * s % n
+    best, shift = d, d * step % n
+    for t in range(1 + step, n, step):
+        d = (d + shift) % n
+        if d < best and units[t]:
+            best = d
+    return g, best
+
+
+def _frozen_farey_symbol(n: int) -> FareySymbol:
+    """``farey_symbol`` as it kept open sides in a heap and keyed every P^1
+    point by ``_p1_point``, before the O(1) unit keys; the oracle."""
+    if n < 2:
+        raise ValueError("levels below 2 have no Farey symbol here; see generators()")
+    units = bytes(gcd(t, n) == 1 for t in range(n))
+    # side s joins ends[s]; a subdivided side has its two halves in
+    # children[s], a final one its label in labels[s]
+    ends: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    labels: list[tuple | None] = []
+    children: dict[int, tuple[int, int]] = {}
+    waiting: dict[tuple[int, int], list[int]] = {}  # partner point -> open sides
+    open_at: dict[int, tuple[int, int]] = {}  # open side -> its key in waiting
+    heap: list[tuple[int, int, int]] = []
+    next_pair = 1
+
+    def new_side(v_left: tuple[int, int], v_right: tuple[int, int]) -> int:
+        nonlocal next_pair
+        s = len(labels)
+        ends.append((v_left, v_right))
+        labels.append(None)
+        b, d = v_left[1], v_right[1]
+        if (b * b + d * d) % n == 0:
+            labels[s] = EVEN
+        elif (b * b + b * d + d * d) % n == 0:
+            labels[s] = ODD
+        else:
+            partners = waiting.get(_frozen_p1_point(b, d, n, units))
+            if partners:
+                t = partners.pop(0)
+                del open_at[t]
+                labels[s] = labels[t] = ("free", next_pair)
+                next_pair += 1
+            else:
+                key = _frozen_p1_point(d, -b, n, units)
+                waiting.setdefault(key, []).append(s)
+                open_at[s] = key
+                heapq.heappush(heap, (b + d, v_left[0] + v_right[0], s))
+        return s
+
+    new_side((0, 1), (1, 1))
+    while heap:
+        q, p, s = heapq.heappop(heap)
+        key = open_at.pop(s, None)
+        if key is None:
+            continue  # paired after it was queued
+        if q > n:
+            raise RuntimeError(f"level {n}: vertex denominator {q} exceeds the level")
+        waiting[key].remove(s)
+        v_left, v_right = ends[s]
+        children[s] = (new_side(v_left, (p, q)), new_side((p, q), v_right))
+    verts: list[tuple[int, int]] = [(-1, 0)]
+    pairings: list[tuple] = [("free", 0)]  # the boundary pair, realised by T
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        if s in children:
+            stack.extend(reversed(children[s]))
+        else:
+            verts.append(ends[s][0])
+            pairings.append(labels[s])
+    verts += [(1, 1), (1, 0)]
+    pairings.append(("free", 0))
+    return FareySymbol(n, tuple(verts), tuple(pairings))
+
+
+def test_farey_symbol_matches_frozen_oracle():
+    for n in range(2, 601):
+        assert farey_symbol(n) == _frozen_farey_symbol(n), n
+
+
+def test_generators_memo_returns_one_object_per_level():
+    gens = generators(14)
+    assert generators(14) is gens
+    generators(15)
+    assert list(farey._memo) == [15]
 
 
 def _relabelled(symbol, labels):

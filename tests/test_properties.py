@@ -4,6 +4,8 @@
 are as reproducible as the seeded ones; no example database is kept.
 """
 
+import tempfile
+from fractions import Fraction
 from math import gcd
 from random import Random
 
@@ -11,8 +13,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gamma0char.charformula import KERNEL_LEVELS
-from gamma0char.exact import integer_rank
-from gamma0char.farey import decompose, generators, reconstruct
+from gamma0char.exact import dedekind_sum_fast, integer_rank
+from gamma0char.farey import (
+    build_generators,
+    decompose,
+    generators,
+    load_cached_generators,
+    reconstruct,
+    save_cached_generators,
+)
+from gamma0char.kernels import dedekind_naive, psi4
 from gamma0char.sampling import random_sl2
 from gamma0char.sl2 import I, NEG_I, Gamma0Element, UniModular, omega, psi
 
@@ -105,3 +115,63 @@ def test_rank_with_an_appended_combination(m, data):
         combination = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(len(m[0]))]
         position = data.draw(st.integers(0, len(m)))
         assert integer_rank(m[:position] + [combination] + m[position:]) == rank
+
+
+@st.composite
+def coprime_pairs(draw):
+    h = draw(st.integers(1, 10**12))
+    k = draw(st.integers(1, 10**12))
+    assume(gcd(h, k) == 1)
+    return h, k
+
+
+@PROPERTY
+@given(coprime_pairs())
+def test_dedekind_reciprocity(pair):
+    h, k = pair
+    # s(h, k) + s(k, h) = -1/4 + (h/k + k/h + 1/(hk)) / 12
+    rhs = Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12
+    assert dedekind_sum_fast(h, k) + dedekind_sum_fast(k, h) == rhs
+
+
+@st.composite
+def small_unimodular(draw):
+    """Entries (a, b, c, d) of determinant 1 with |c| <= 10^4."""
+    c = draw(st.integers(-(10**4), 10**4))
+    if c == 0:
+        a = d = draw(st.sampled_from((1, -1)))
+        return a, draw(st.integers(-(10**6), 10**6)), 0, d
+    d = draw(st.integers(-(10**6), 10**6))
+    assume(gcd(c, d) == 1)
+    a = pow(d, -1, abs(c)) + c * draw(st.integers(-50, 50))
+    return a, (a * d - 1) // c, c, d
+
+
+@PROPERTY
+@given(small_unimodular())
+def test_psi4_matches_four_case_formula_on_naive_sums(m):
+    a, b, c, d = m
+    if c > 0:
+        expected = Fraction(a + d, c) - 12 * Fraction(*dedekind_naive(d, c)) - 3
+    elif c < 0:
+        expected = Fraction(a + d, c) + 12 * Fraction(*dedekind_naive(d, -c)) + 3
+    else:
+        expected = b if a > 0 else -b - 6
+    assert psi4(a, b, c, d) == expected
+
+
+@PROPERTY
+@given(st.integers(1, 400))
+def test_cache_save_then_load_roundtrip(n):
+    gens = build_generators(n)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        save_cached_generators(gens, cache_dir)
+        loaded = load_cached_generators(n, cache_dir)
+    assert loaded is not None
+    assert loaded.counts() == gens.counts()
+    assert (loaded.free, loaded.elliptic2, loaded.elliptic3) == (
+        gens.free,
+        gens.elliptic2,
+        gens.elliptic3,
+    )
+    assert loaded.symbol == gens.symbol

@@ -1,7 +1,10 @@
 """Verdicts and reports from the batch verifiers."""
 
 import random
+import tracemalloc
 from fractions import Fraction
+
+from gamma0char import farey
 
 from gamma0char.charformula import CharacterParams, eval_character, sigma_matrix
 from gamma0char.dirichlet import divisors, enumerate_characters, evaluate
@@ -122,3 +125,24 @@ def test_kernel_report():
         report = verify_kernel(level, 100, seed=5)
         assert report["ok"] is True
         assert report["checked"] == 100
+
+
+def test_scans_hold_one_level():
+    for scan in (verify_conjecture1, verify_conjecture2, verify_conjecture3):
+        assert scan(120)["ok"] is True
+        assert len(farey._memo) <= 1
+        assert sigma_matrix.cache_info().currsize <= 1
+
+
+def test_conjecture3_scan_memory_is_bounded():
+    # memos that keep every level's generator set and sigma matrix make this
+    # scan peak near 5.3 MB; memos of one level, near 0.9 MB
+    farey._memo.clear()
+    sigma_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        assert verify_conjecture3(240)["ok"] is True
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
