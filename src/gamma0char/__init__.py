@@ -47,7 +47,6 @@ from .verify import (
     verify_conjecture3,
     verify_surjectivity,
 )
-from .kernels import backend_name
 
 __version__ = "0.1.0"
 
@@ -64,7 +63,6 @@ __all__ = [
     "UniModular",
     "UnitGroupStructure",
     "Word",
-    "backend_name",
     "beta",
     "chi_t",
     "decompose",

@@ -136,9 +136,11 @@ def farey_symbol(n: int) -> FareySymbol:
     iff b^2 + bd + d^2 = 0 (mod n); otherwise it pairs freely with the
     oldest open side waiting at its point (b : d) of P^1(Z/nZ), or waits at
     the point (d : -b) itself.  A point (c : d) is keyed as c/d when d is a
-    unit, as n + d/c when c is, and by ``_p1_point`` otherwise.  The vertex
-    chain is read off the subdivision tree in order.  Raises RuntimeError if
-    a vertex denominator would exceed n.
+    unit, as n + d/c when c is, and by ``_p1_point`` otherwise.  A side is
+    named by its left vertex, with its right vertex and its label (None while
+    open) in two dicts; a subdivision relinks them, and the vertex chain is
+    read by following right vertices from 0/1.  Raises RuntimeError if a
+    vertex denominator would exceed n.
     """
     if n < 2:
         raise ValueError("levels below 2 have no Farey symbol here; see generators()")
@@ -146,14 +148,13 @@ def farey_symbol(n: int) -> FareySymbol:
     for t in range(1, n):
         if gcd(t, n) == 1:
             inverse[t] = pow(t, -1, n)
-    # side s joins ends[s]; labels[s] stays None while s is open or once it
-    # is subdivided, and a subdivided side has its two halves in children[s]
-    ends: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    labels: list[tuple | None] = []
-    children: dict[int, tuple[int, int]] = {}
-    waiting: dict[object, list[int]] = {}  # point -> open sides, oldest first
+    # a side is named by its left vertex v: right[v] is its right vertex and
+    # labels[v] its label, None while the side is open
+    right: dict[tuple[int, int], tuple[int, int]] = {}
+    labels: dict[tuple[int, int], tuple | None] = {}
+    waiting: dict[object, list[tuple[int, int]]] = {}  # point -> open sides, oldest first
     # mediant denominator -> (mediant numerator, open side, its waiting point)
-    buckets: dict[int, list[tuple[int, int, object]]] = {}
+    buckets: dict[int, list[tuple[int, tuple[int, int], object]]] = {}
     next_pair = 1
 
     def point(c: int, d: int):  # the key of (c : d), gcd(c, d) = 1
@@ -180,38 +181,33 @@ def farey_symbol(n: int) -> FareySymbol:
             else:
                 # wait at the partner point (d : -b)
                 key = point(d, -b)
-                waiting.setdefault(key, []).append(len(labels))
-                entry = (v_left[0] + v_right[0], len(labels), key)
-                buckets.setdefault(b + d, []).append(entry)
+                waiting.setdefault(key, []).append(v_left)
+                buckets.setdefault(b + d, []).append((v_left[0] + v_right[0], v_left, key))
                 label = None
-        ends.append((v_left, v_right))
-        labels.append(label)
+        right[v_left] = v_right
+        labels[v_left] = label
 
     add_side((0, 1), (1, 1))
     # a subdivision only makes mediants of larger denominator, so bucket q is
     # complete when it is reached
     for q in range(2, n + 1):
-        for p, s, key in sorted(buckets.pop(q, ())):
-            if labels[s] is not None:
+        for p, v_left, key in sorted(buckets.pop(q, ())):
+            if labels[v_left] is not None:
                 continue  # paired after it was queued
-            waiting[key].remove(s)
-            v_left, v_right = ends[s]
-            children[s] = (len(labels), len(labels) + 1)
+            waiting[key].remove(v_left)
+            v_right = right[v_left]
             add_side(v_left, (p, q))
             add_side((p, q), v_right)
     for q in sorted(buckets):
-        if any(labels[s] is None for _, s, _ in buckets[q]):
+        if any(labels[v] is None for _, v, _ in buckets[q]):
             raise RuntimeError(f"level {n}: vertex denominator {q} exceeds the level")
     verts: list[tuple[int, int]] = [(-1, 0)]
     pairings: list[tuple] = [("free", 0)]  # the boundary pair, realised by T
-    stack = [0]
-    while stack:
-        s = stack.pop()
-        if s in children:
-            stack.extend(reversed(children[s]))
-        else:
-            verts.append(ends[s][0])
-            pairings.append(labels[s])
+    v = (0, 1)
+    while v != (1, 1):
+        verts.append(v)
+        pairings.append(labels[v])
+        v = right[v]
     verts += [(1, 1), (1, 0)]
     pairings.append(("free", 0))
     return FareySymbol(n, tuple(verts), tuple(pairings))
@@ -323,7 +319,9 @@ def _extract_generators(symbol: FareySymbol) -> GeneratorSet:
 
 
 _memo: dict[int, GeneratorSet] = {}  # the most recent level only
+_memo_dir: str | None = None  # the cache directory _memo's set was read from or written to
 _default_cache_dir: str | None = None
+_LEVEL_ONE = GeneratorSet(1, (), (S,), (S * T,))
 
 
 def set_default_cache_dir(path: str | None) -> None:
@@ -337,32 +335,32 @@ def build_generators(n: int) -> GeneratorSet:
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
     if n == 1:
-        return GeneratorSet(1, (), (S,), (S * T,), None, ())
+        return _LEVEL_ONE
     return _extract_generators(farey_symbol(n))
 
 
 def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
-    """Generator set for Gamma0(N), memoized in process and optionally on disk.
+    """Generator set for Gamma0(N): from the memo, else the disk cache, else built.
 
     The in-process memo holds one level, the most recent: repeated calls at
     one level return the same object, and a scan over levels keeps one set
-    in memory.
+    in memory.  The memo also holds the cache directory its set was read
+    from or written to, so a hit makes no file-system call.  Asked for with
+    any other cache directory, the set is written there once, which also
+    replaces a missing or corrupt file.
     """
+    global _memo_dir
     cache_dir = cache_dir or _default_cache_dir
     gens = _memo.get(n)
-    if gens is not None:
-        if cache_dir and not os.path.exists(_cache_path(cache_dir, n)):
-            save_cached_generators(gens, cache_dir)
-        return gens
-    if cache_dir:
-        gens = load_cached_generators(n, cache_dir)
     if gens is None:
-        # a missing or corrupt cache file is a miss: rebuild and rewrite it
-        gens = build_generators(n)
-        if cache_dir:
-            save_cached_generators(gens, cache_dir)
-    _memo.clear()
-    _memo[n] = gens
+        loaded = load_cached_generators(n, cache_dir) if cache_dir else None
+        gens = build_generators(n) if loaded is None else loaded
+        _memo.clear()
+        _memo[n] = gens
+        _memo_dir = None if loaded is None else cache_dir
+    if cache_dir and cache_dir != _memo_dir:
+        save_cached_generators(gens, cache_dir)
+        _memo_dir = cache_dir
     return gens
 
 
@@ -402,7 +400,9 @@ def generator_set_from_json(doc: dict) -> GeneratorSet:
     if type(n) is not int:
         raise ValueError(f"cache level must be an integer, got {n!r}")
     if doc.get("farey") is None:
-        gens = build_generators(n)
+        if n != 1:
+            raise ValueError(f"cache for level {n} has no Farey symbol")
+        gens = _LEVEL_ONE
     else:
         vertices = tuple(tuple(v) for v in doc["farey"]["vertices"])
         if not all(type(x) is int for v in vertices for x in v):
@@ -422,21 +422,28 @@ def save_cached_generators(gens: GeneratorSet, cache_dir: str) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     payload = json.dumps(generator_set_to_json(gens), sort_keys=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        handle.write(payload)
-    os.replace(tmp, _cache_path(cache_dir, gens.level))
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(payload)
+        os.replace(tmp, _cache_path(cache_dir, gens.level))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_cached_generators(n: int, cache_dir: str) -> GeneratorSet | None:
-    """The cached generator set for level n, or None when the file is missing
-    or fails any of the checks in ``generator_set_from_json``."""
+    """The cached generator set for level n, or None when the file is missing,
+    holds a document for another level, or fails any of the checks in
+    ``generator_set_from_json``.  It never builds a Farey symbol."""
     path = _cache_path(cache_dir, n)
     try:
         with open(path) as handle:
-            gens = generator_set_from_json(json.load(handle))
+            doc = json.load(handle)
+        if not isinstance(doc, dict) or doc.get("level") != n:
+            return None
+        return generator_set_from_json(doc)
     except (OSError, ValueError, LookupError, TypeError, RuntimeError):
         return None
-    return gens if gens.level == n else None
 
 
 # ---------------------------------------------------------------------------

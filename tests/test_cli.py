@@ -214,6 +214,16 @@ def test_cache_dir_used(tmp_path, capsys):
     assert (tmp_path / "gamma0-generators-17.json").exists()
 
 
+def test_failed_cache_write_exits_two_and_leaves_no_temp_file(tmp_path, capsys):
+    (tmp_path / "gamma0-generators-17.json").mkdir()
+    assert main(["--cache-dir", str(tmp_path), "generators", "--level", "17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["gamma0-generators-17.json"]
+
+
 def test_cache_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GAMMA0_CACHE_DIR", str(tmp_path))
     code, _ = run_cli(capsys, "generators", "--level", "19")

@@ -2,6 +2,7 @@
 
 import heapq
 import json
+import os
 import random
 from fractions import Fraction
 from math import gcd
@@ -271,7 +272,7 @@ def _frozen_farey_symbol(n: int) -> FareySymbol:
 
 
 def test_farey_symbol_matches_frozen_oracle():
-    for n in range(2, 601):
+    for n in [*range(2, 601), 720, 997, 1000, 1024, 1260, 1680, 1999, 2000]:
         assert farey_symbol(n) == _frozen_farey_symbol(n), n
 
 
@@ -280,6 +281,35 @@ def test_generators_memo_returns_one_object_per_level():
     assert generators(14) is gens
     generators(15)
     assert list(farey._memo) == [15]
+
+
+def test_generators_memo_hit_makes_no_file_system_call(tmp_path, monkeypatch):
+    touched = []
+
+    class CountingOs:
+        def __getattr__(self, name):
+            touched.append(name)
+            return getattr(os, name)
+
+    monkeypatch.setattr(farey, "_default_cache_dir", str(tmp_path))
+    farey._memo.clear()
+    gens = generators(17)  # built and written
+    farey._memo.clear()
+    loaded = generators(17)  # read from the cache
+    monkeypatch.setattr(farey, "os", CountingOs())
+    for _ in range(3):
+        assert generators(17) is loaded
+        assert generators(17, str(tmp_path)) is loaded
+    assert touched == []
+    assert loaded.free == gens.free
+
+
+def test_level_memoised_without_a_directory_is_written_with_one(tmp_path):
+    gens = generators(19)
+    assert farey._memo[19] is gens
+    assert generators(19, str(tmp_path)) is gens
+    path = tmp_path / "gamma0-generators-19.json"
+    assert json.loads(path.read_text()) == generator_set_to_json(gens)
 
 
 def _relabelled(symbol, labels):
@@ -682,3 +712,26 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
         gens = generators(11, str(tmp_path))
         assert generator_set_to_json(gens) == expected
         assert json.loads(path.read_text()) == expected
+
+
+def test_cache_loader_never_builds(tmp_path, monkeypatch):
+    def refuse_to_build(n):
+        raise AssertionError(f"the cache loader built level {n}")
+
+    other_level = dict(generator_set_to_json(build_generators(11)), level=3000, farey=None)
+    (tmp_path / "gamma0-generators-11.json").write_text(json.dumps(other_level))
+    expected13 = generator_set_to_json(build_generators(13))
+    path13 = tmp_path / "gamma0-generators-13.json"
+    path13.write_text(json.dumps(dict(expected13, farey=None)))
+    level_one = build_generators(1)
+    save_cached_generators(level_one, str(tmp_path))
+    with monkeypatch.context() as patch:
+        patch.setattr(farey, "build_generators", refuse_to_build)
+        assert load_cached_generators(11, str(tmp_path)) is None
+        assert load_cached_generators(13, str(tmp_path)) is None
+        loaded = load_cached_generators(1, str(tmp_path))
+    assert generator_set_to_json(loaded) == generator_set_to_json(level_one)
+    farey._memo.pop(13, None)  # as in a fresh process
+    gens = generators(13, str(tmp_path))
+    assert generator_set_to_json(gens) == expected13
+    assert json.loads(path13.read_text()) == expected13
