@@ -8,12 +8,19 @@ always a Free pair realised by the translation T), one generator squaring to
 -I per Even side, one cubing to -I per Odd side, plus -I itself.
 
 Construction subdivides sides at their mediants, breadth first: of the sides
-still open, the one whose mediant has the smallest denominator is split next,
-so no vertex denominator exceeds the level.  Each new side is labelled once,
-when it is created: Even or Odd by a congruence on its two denominators,
-otherwise Free with an open side at the partner point of P^1(Z/NZ).  Word
-decomposition walks an element's image of the infinite cusp back into the
-base polygon, crossing one paired side at a time.
+still open, the one whose mediant has the smallest denominator is split next.
+Each new side is labelled once, when it is created: Even or Odd by a
+congruence on its two denominators, otherwise Free with an open side at the
+partner point of P^1(Z/NZ).  Two invariants of the result are relied on:
+
+1. every finite vertex denominator q satisfies 0 < q < N (``FareySymbol``
+   checks it), so no cusp of a matrix in Gamma0(N) other than oo is a vertex;
+2. at most one open side waits at a point of P^1(Z/NZ): two would be
+   Gamma0(N)-equivalent boundary edges with the same orientation, and the
+   polygon would hold two equivalent tiles.
+
+Word decomposition walks an element's image of the infinite cusp back into
+the base polygon, crossing the one paired side above it at each step.
 """
 
 from __future__ import annotations
@@ -77,6 +84,9 @@ class FareySymbol:
         v = self.vertices
         if len(self.pairings) != len(v) - 1:
             raise ValueError("one pairing label required per side")
+        for p, q in v[1:-1]:
+            if not 0 < q < self.level:
+                raise ValueError(f"vertex {p}/{q} has a denominator outside (0, {self.level})")
         for (p1, q1), (p2, q2) in zip(v, v[1:]):
             if p2 * q1 - p1 * q2 != 1:
                 raise ValueError(f"vertices {p1}/{q1}, {p2}/{q2} are not adjacent")
@@ -102,16 +112,14 @@ class FareySymbol:
 
 
 def _p1_point(c: int, d: int, n: int, units: list[int]) -> tuple[int, int]:
-    """Normalised representative of (c : d) in P^1(Z/nZ), for gcd(c, d) = 1.
+    """Normalised representative of (c : d) in P^1(Z/nZ), for gcd(c, d) = 1
+    with c and d reduced mod n and neither a unit (so c is nonzero).
 
     A unit scales c to g = gcd(c, n); the units fixing g are those congruent
     to 1 mod n/g, and the least residue they make of d is taken (Cremona,
     *Algorithms for Modular Elliptic Curves*, section 2.2).  ``units[t]`` is
     nonzero exactly when t is a unit mod n.
     """
-    c %= n
-    if c == 0:
-        return 0, 1
     g = gcd(c, n)
     step = n // g
     s = pow(c // g, -1, step)
@@ -133,14 +141,15 @@ def farey_symbol(n: int) -> FareySymbol:
     in increasing order, each by mediant numerator, so the smallest mediant
     is subdivided next.  The two sides a subdivision creates are labelled at
     once: a side with denominators (b, d) is Even iff b^2 + d^2 = 0 and Odd
-    iff b^2 + bd + d^2 = 0 (mod n); otherwise it pairs freely with the
-    oldest open side waiting at its point (b : d) of P^1(Z/nZ), or waits at
-    the point (d : -b) itself.  A point (c : d) is keyed as c/d when d is a
-    unit, as n + d/c when c is, and by ``_p1_point`` otherwise.  A side is
-    named by its left vertex, with its right vertex and its label (None while
-    open) in two dicts; a subdivision relinks them, and the vertex chain is
-    read by following right vertices from 0/1.  Raises RuntimeError if a
-    vertex denominator would exceed n.
+    iff b^2 + bd + d^2 = 0 (mod n); otherwise it pairs freely with the open
+    side waiting at its point (b : d) of P^1(Z/nZ), or waits at the point
+    (d : -b) itself; at most one side waits at a point.  A point (c : d) is
+    keyed as c/d when d is a unit, as n + d/c when c is (this covers c = 0),
+    and by ``_p1_point`` otherwise.  A side is named by its left vertex, with
+    its right vertex and its label (None while open) in two dicts; a
+    subdivision relinks them, and the vertex chain is read by following
+    right vertices from 0/1.  Only mediants of denominator below n are made:
+    raises RuntimeError if a vertex denominator would reach n.
     """
     if n < 2:
         raise ValueError("levels below 2 have no Farey symbol here; see generators()")
@@ -152,7 +161,7 @@ def farey_symbol(n: int) -> FareySymbol:
     # labels[v] its label, None while the side is open
     right: dict[tuple[int, int], tuple[int, int]] = {}
     labels: dict[tuple[int, int], tuple | None] = {}
-    waiting: dict[object, list[tuple[int, int]]] = {}  # point -> open sides, oldest first
+    waiting: dict[object, tuple[int, int]] = {}  # point -> the open side waiting there
     # mediant denominator -> (mediant numerator, open side, its waiting point)
     buckets: dict[int, list[tuple[int, tuple[int, int], object]]] = {}
     next_pair = 1
@@ -174,14 +183,14 @@ def farey_symbol(n: int) -> FareySymbol:
         elif (b * b + b * d + d * d) % n == 0:
             label = ODD
         else:
-            partners = waiting.get(point(b, d))
-            if partners:
-                label = labels[partners.pop(0)] = ("free", next_pair)
+            partner = waiting.pop(point(b, d), None)
+            if partner is not None:
+                label = labels[partner] = ("free", next_pair)
                 next_pair += 1
             else:
                 # wait at the partner point (d : -b)
                 key = point(d, -b)
-                waiting.setdefault(key, []).append(v_left)
+                waiting[key] = v_left
                 buckets.setdefault(b + d, []).append((v_left[0] + v_right[0], v_left, key))
                 label = None
         right[v_left] = v_right
@@ -190,17 +199,16 @@ def farey_symbol(n: int) -> FareySymbol:
     add_side((0, 1), (1, 1))
     # a subdivision only makes mediants of larger denominator, so bucket q is
     # complete when it is reached
-    for q in range(2, n + 1):
+    for q in range(2, n):
         for p, v_left, key in sorted(buckets.pop(q, ())):
             if labels[v_left] is not None:
                 continue  # paired after it was queued
-            waiting[key].remove(v_left)
+            del waiting[key]
             v_right = right[v_left]
             add_side(v_left, (p, q))
             add_side((p, q), v_right)
-    for q in sorted(buckets):
-        if any(labels[v] is None for _, v, _ in buckets[q]):
-            raise RuntimeError(f"level {n}: vertex denominator {q} exceeds the level")
+    if waiting:
+        raise RuntimeError(f"level {n}: a vertex denominator would reach the level")
     verts: list[tuple[int, int]] = [(-1, 0)]
     pairings: list[tuple] = [("free", 0)]  # the boundary pair, realised by T
     v = (0, 1)
@@ -413,15 +421,21 @@ def generator_set_from_json(doc: dict) -> GeneratorSet:
             tuple(tuple(label) for label in doc["farey"]["pairings"]),
         )
         gens = _extract_generators(symbol)
-    if [g.entries() for g in gens.free] != [tuple(m) for m in doc["free"]]:
-        raise ValueError(f"cache for level {n} disagrees with its Farey symbol")
+    for kind in ("free", "elliptic2", "elliptic3"):
+        if [g.entries() for g in getattr(gens, kind)] != [tuple(m) for m in doc[kind]]:
+            raise ValueError(f"cache for level {n} disagrees with its Farey symbol")
     return gens
 
 
 def save_cached_generators(gens: GeneratorSet, cache_dir: str) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
+    """Write the level's file through a temporary one; the directory is
+    made only when it is missing."""
     payload = json.dumps(generator_set_to_json(gens), sort_keys=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    except FileNotFoundError:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
@@ -497,8 +511,10 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
 
     Each crossing multiplies on the left by the matrix carrying the tile that
     currently holds the cusp a/c back into the base polygon, and records the
-    inverse letter.  A per-walk set of visited states guards against cycling,
-    which would indicate a broken symbol.
+    inverse letter.  The matrix stays in Gamma0(N) (only powers of T and
+    generators multiply it), so by invariant 1 the cusp is no vertex.  A
+    per-walk set of visited states guards against cycling, which would
+    indicate a broken symbol.
     """
     symbol = gens.symbol
     floor = symbol.vertices[1:-1]
@@ -529,31 +545,14 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
             a, b = a - m * c, b - m * d
             cur = (a, b, c, d)
             letters.append((("free", 0), m))
-        # the cusp is num/den in lowest terms (gcd(a, c) = 1), den > 0
+        # the cusp is num/den in lowest terms (gcd(a, c) = 1) with
+        # 0 <= num < den: the remainder of a by c lies in [0, c) or (c, 0]
         num, den = (a, c) if c > 0 else (-a, -c)
-        if not 0 <= num < den:
-            raise RuntimeError(f"translation landed outside [0, 1): {num}/{den}")
-        # last vertex p/q <= num/den; p*den - num*q grows along the vertices
+        # last vertex p/q < num/den; p*den - num*q grows along the vertices
         pos = bisect_right(floor, 0, key=lambda v: v[0] * den - num * v[1]) - 1
-        p, q = floor[pos]
-        if p * den == num * q:
-            # cusp sits on an interior vertex: cross whichever neighbouring
-            # side shrinks the denominator
-            candidates = []
-            for side in (pos, pos + 1):
-                if 1 <= side <= len(rules) - 2:
-                    u, letter = crossing(side, num, den)
-                    nxt = mul4(u, cur)
-                    candidates.append((abs(nxt[2]), nxt, letter))
-            candidates.sort(key=lambda item: item[0])
-            if not candidates or candidates[0][0] >= den:
-                raise RuntimeError(f"reduction stalled at vertex {num}/{den}")
-            _, cur, letter = candidates[0]
-            letters.append(letter)
-        else:
-            u, letter = crossing(pos + 1, num, den)
-            cur = mul4(u, cur)
-            letters.append(letter)
+        u, letter = crossing(pos + 1, num, den)
+        cur = mul4(u, cur)
+        letters.append(letter)
         state = cur if cur[2] > 0 or (cur[2] == 0 and cur[0] > 0) else tuple(-t for t in cur)
         if state in seen:
             raise RuntimeError("side-crossing walk entered a cycle")

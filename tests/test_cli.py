@@ -162,6 +162,13 @@ def test_bad_input_exits_two_with_one_line(capsys, tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+def test_character_id_out_of_range_exits_two(capsys):
+    assert main(["eval-char", "--level", "7", "--chi", "99", "--matrix", "1,1,0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: character id out of range"]
+
+
 def test_failed_check_exits_one(capsys, monkeypatch):
     from gamma0char import cli
 

@@ -111,6 +111,14 @@ def test_symbol_invariants_reject_bad_data():
         FareySymbol(2, ((-1, 0),), ())
 
 
+def test_symbol_vertex_denominators_stay_below_the_level():
+    vertices = ((-1, 0), (0, 1), (1, 2), (1, 1), (1, 0))
+    pairings = (("free", 0), EVEN, ODD, ("free", 0))
+    assert FareySymbol(3, vertices, pairings).vertices == vertices  # q = level - 1
+    with pytest.raises(ValueError, match="denominator"):
+        FareySymbol(2, vertices, pairings)  # q = level
+
+
 def test_built_symbols_carry_the_boundary_pair():
     for n in range(2, 289):
         pairings = farey_symbol(n).pairings  # validated on construction
@@ -712,6 +720,42 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
         gens = generators(11, str(tmp_path))
         assert generator_set_to_json(gens) == expected
         assert json.loads(path.read_text()) == expected
+
+
+def test_cache_with_corrupt_elliptic_lists_is_rebuilt(tmp_path):
+    expected = generator_set_to_json(build_generators(13))
+    assert expected["elliptic2"] and expected["elliptic3"]
+    path = tmp_path / "gamma0-generators-13.json"
+    corruptions = [{"elliptic2": [[1, 0, 0, 1]] + expected["elliptic2"][1:]}, {"elliptic3": []}]
+    corruptions.append({**corruptions[0], **corruptions[1]})
+    for change in corruptions:
+        path.write_text(json.dumps(dict(expected, **change)))
+        assert load_cached_generators(13, str(tmp_path)) is None
+        farey._memo.pop(13, None)  # as in a fresh process
+        gens = generators(13, str(tmp_path))
+        assert generator_set_to_json(gens) == expected
+        assert json.loads(path.read_text()) == expected
+
+
+def test_cache_writes_make_the_directory_only_when_missing(tmp_path, monkeypatch):
+    made = []
+
+    class CountingOs:
+        def __getattr__(self, name):
+            if name == "makedirs":
+                made.append(name)
+            return getattr(os, name)
+
+    monkeypatch.setattr(farey, "os", CountingOs())
+    for n in range(2, 30):
+        save_cached_generators(build_generators(n), str(tmp_path))
+    assert made == []
+    assert len(list(tmp_path.iterdir())) == 28
+    nested = tmp_path / "a" / "b"
+    save_cached_generators(build_generators(13), str(nested))
+    assert made == ["makedirs"]
+    assert load_cached_generators(13, str(nested)).free == build_generators(13).free
+    assert [p.name for p in nested.iterdir()] == ["gamma0-generators-13.json"]
 
 
 def test_cache_loader_never_builds(tmp_path, monkeypatch):

@@ -1,8 +1,12 @@
 """Verdicts and reports from the batch verifiers."""
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 from gamma0char import farey
 
@@ -146,3 +150,33 @@ def test_conjecture3_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+def test_run_paths_never_import_numpy():
+    # numpy serves only the naive Dedekind oracle; importing it costs every
+    # run its start-up time and resident memory
+    script = """
+import sys
+from fractions import Fraction
+from gamma0char.charformula import CharacterParams, eval_character
+from gamma0char.dirichlet import character_from_id
+from gamma0char.sl2 import Gamma0Element, UniModular
+from gamma0char.verify import (
+    verify_conjecture1, verify_conjecture2, verify_conjecture3, verify_dedekind_identity,
+    verify_kernel, verify_prop21, verify_surjectivity,
+)
+for scan in (verify_conjecture1, verify_conjecture2, verify_conjecture3):
+    assert scan(60)["ok"]
+verify_kernel(13, 50, 1)
+verify_prop21(20, 1)
+verify_dedekind_identity(20, 1)
+verify_surjectivity(13)
+params = CharacterParams.from_map(character_from_id(7, 1), 1, {7: Fraction(1, 3)})
+eval_character(params, Gamma0Element(UniModular(-2, 1, -7, 3), 7))
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env.pop("GAMMA0_CACHE_DIR", None)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
