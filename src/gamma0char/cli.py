@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="check", required=True)
     v = vsub.add_parser("prop21")
     v.add_argument("--trials", type=int, default=10**5)
-    v.add_argument("--seed", dest="check_seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     v = vsub.add_parser("surjectivity")
     v.add_argument("--level", type=int, required=True)
     v = vsub.add_parser("table2")
@@ -157,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
         v.add_argument("--max", type=int, required=True)
     v = vsub.add_parser("dedekind-identity")
     v.add_argument("--trials", type=int, default=1000)
-    v.add_argument("--seed", dest="check_seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     v = vsub.add_parser("kernel")
     v.add_argument("--level", type=int, required=True)
     v.add_argument("--trials", type=int, default=1000)
-    v.add_argument("--seed", dest="check_seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     return parser
 
@@ -228,9 +228,8 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def run_verify(args: argparse.Namespace) -> dict:
-    seed = args.seed if getattr(args, "check_seed", None) is None else args.check_seed
     if args.check == "prop21":
-        return verify_mod.verify_prop21(args.trials, seed)
+        return verify_mod.verify_prop21(args.trials, args.seed)
     if args.check == "surjectivity":
         # either verdict is a completed check, not a failed one
         return verify_mod.verify_surjectivity(args.level).to_json() | {"ok": True}
@@ -243,9 +242,9 @@ def run_verify(args: argparse.Namespace) -> dict:
     if args.check == "conjecture3":
         return verify_mod.verify_conjecture3(args.max)
     if args.check == "dedekind-identity":
-        return verify_mod.verify_dedekind_identity(args.trials, seed)
+        return verify_mod.verify_dedekind_identity(args.trials, args.seed)
     if args.check == "kernel":
-        return verify_mod.verify_kernel(args.level, args.trials, seed)
+        return verify_mod.verify_kernel(args.level, args.trials, args.seed)
     raise AssertionError(f"unhandled verify check {args.check}")
 
 

@@ -11,7 +11,9 @@ Construction subdivides sides at their mediants, breadth first: of the sides
 still open, the one whose mediant has the smallest denominator is split next.
 Each new side is labelled once, when it is created: Even or Odd by a
 congruence on its two denominators, otherwise Free with an open side at the
-partner point of P^1(Z/NZ).  Two invariants of the result are relied on:
+partner point of P^1(Z/NZ).  Points are keyed by their images in the
+P^1(Z/qZ) over the prime powers q exactly dividing N, each by one O(1)
+formula (``_p1_keys``).  Two invariants of the result are relied on:
 
 1. every finite vertex denominator q satisfies 0 < q < N (``FareySymbol``
    checks it), so no cusp of a matrix in Gamma0(N) other than oo is a vertex;
@@ -31,7 +33,7 @@ import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 from .dirichlet import factorize
 from .sl2 import NEG_I, S, T, Entries, Gamma0Element, UniModular, mul4, pow4
@@ -111,27 +113,28 @@ class FareySymbol:
         return r, e2, e3
 
 
-def _p1_point(c: int, d: int, n: int, units: list[int]) -> tuple[int, int]:
-    """Normalised representative of (c : d) in P^1(Z/nZ), for gcd(c, d) = 1
-    with c and d reduced mod n and neither a unit (so c is nonzero).
+def _p1_keys(n: int):
+    """The key function of P^1(Z/nZ): equal keys exactly for equal points.
 
-    A unit scales c to g = gcd(c, n); the units fixing g are those congruent
-    to 1 mod n/g, and the least residue they make of d is taken (Cremona,
-    *Algorithms for Modular Elliptic Curves*, section 2.2).  ``units[t]`` is
-    nonzero exactly when t is a unit mod n.
+    P^1(Z/nZ) is the product of the P^1(Z/qZ) over the prime powers q = p^e
+    exactly dividing n.  There (c : d) is (x : 1) with x = c/d mod q when p
+    does not divide d, else (1 : y) with y = d/c mod q; the local key is x or
+    q + y in [0, 2q), and the key of (c : d), for gcd(c, d) = 1, reads the
+    local keys in mixed radix with base 2q.
     """
-    g = gcd(c, n)
-    step = n // g
-    s = pow(c // g, -1, step)
-    while not units[s]:
-        s += step
-    d = d * s % n
-    best, shift = d, d * step % n
-    for t in range(1 + step, n, step):
-        d = (d + shift) % n
-        if d < best and units[t]:
-            best = d
-    return g, best
+    local = []  # (q, t^-1 mod q for a unit t and 0 for a non-unit)
+    for p, e in factorize(n):
+        q = p**e
+        local.append((q, [pow(t, -1, q) if t % p else 0 for t in range(q)]))
+
+    def key(c: int, d: int) -> int:
+        k = 0
+        for q, inverse in local:
+            s = inverse[d % q]
+            k = k * 2 * q + (c * s % q if s else q + d * inverse[c % q] % q)
+        return k
+
+    return key
 
 
 def farey_symbol(n: int) -> FareySymbol:
@@ -143,37 +146,24 @@ def farey_symbol(n: int) -> FareySymbol:
     once: a side with denominators (b, d) is Even iff b^2 + d^2 = 0 and Odd
     iff b^2 + bd + d^2 = 0 (mod n); otherwise it pairs freely with the open
     side waiting at its point (b : d) of P^1(Z/nZ), or waits at the point
-    (d : -b) itself; at most one side waits at a point.  A point (c : d) is
-    keyed as c/d when d is a unit, as n + d/c when c is (this covers c = 0),
-    and by ``_p1_point`` otherwise.  A side is named by its left vertex, with
-    its right vertex and its label (None while open) in two dicts; a
-    subdivision relinks them, and the vertex chain is read by following
-    right vertices from 0/1.  Only mediants of denominator below n are made:
-    raises RuntimeError if a vertex denominator would reach n.
+    (d : -b) itself; at most one side waits at a point, and points are
+    looked up by the integer key ``_p1_keys(n)`` gives them.  A side is named
+    by its left vertex, with its right vertex and its label (None while open)
+    in two dicts; a subdivision relinks them, and the vertex chain is read by
+    following right vertices from 0/1.  Only mediants of denominator below n
+    are made: raises RuntimeError if a vertex denominator would reach n.
     """
     if n < 2:
         raise ValueError("levels below 2 have no Farey symbol here; see generators()")
-    inverse = [0] * n  # t^-1 mod n for a unit t, 0 for a non-unit
-    for t in range(1, n):
-        if gcd(t, n) == 1:
-            inverse[t] = pow(t, -1, n)
+    point = _p1_keys(n)
     # a side is named by its left vertex v: right[v] is its right vertex and
     # labels[v] its label, None while the side is open
     right: dict[tuple[int, int], tuple[int, int]] = {}
     labels: dict[tuple[int, int], tuple | None] = {}
-    waiting: dict[object, tuple[int, int]] = {}  # point -> the open side waiting there
+    waiting: dict[int, tuple[int, int]] = {}  # point key -> the open side waiting there
     # mediant denominator -> (mediant numerator, open side, its waiting point)
-    buckets: dict[int, list[tuple[int, tuple[int, int], object]]] = {}
+    buckets: dict[int, list[tuple[int, tuple[int, int], int]]] = {}
     next_pair = 1
-
-    def point(c: int, d: int):  # the key of (c : d), gcd(c, d) = 1
-        c %= n
-        d %= n
-        if inverse[d]:
-            return c * inverse[d] % n
-        if inverse[c]:
-            return n + d * inverse[c] % n
-        return _p1_point(c, d, n, inverse)
 
     def add_side(v_left: tuple[int, int], v_right: tuple[int, int]) -> None:
         nonlocal next_pair

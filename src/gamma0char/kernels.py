@@ -15,8 +15,9 @@ def backend_name() -> str:
     return "pure"
 
 
-# Above this size the vectorised int64 path of the naive sum could overflow
-# (the unreduced numerator is bounded by 6*k**3).
+# Up to this size the vectorised int64 path of the naive sum cannot overflow:
+# its largest int64 value is the dot product sum(r*(h*r mod k)) < k**3/2,
+# 5*10**17 at k = 10**6 (the numerator built from it is a Python int).
 _NAIVE_VECTOR_LIMIT = 10**6
 
 

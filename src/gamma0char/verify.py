@@ -1,8 +1,10 @@
 """Batch verifiers: surjectivity of the parametrization, beta tables, ranks.
 
-Every verifier returns a JSON-ready dict with a top-level "ok" flag and
-enough evidence to audit the verdict.  Conjecture scans report mismatches as
-findings rather than raising.
+Every verifier but ``verify_surjectivity`` returns a JSON-ready dict with a
+top-level "ok" flag and enough evidence to audit the verdict.
+``verify_surjectivity`` returns a ``SurjectivityReport``, whose verdict is
+either answer; the command line adds ``"ok": true`` to its JSON.  Conjecture
+scans report mismatches as findings rather than raising.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def verify_surjectivity(n: int) -> SurjectivityReport:
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
     if n == 1:
-        values = sorted(chi_t(t, T).value for t in range(12))
+        values = sorted((chi_t(t, T) for t in range(12)), key=lambda v: v.value)
         return SurjectivityReport(
             1,
             "Surjective",

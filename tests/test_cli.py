@@ -106,6 +106,28 @@ def test_seed_determinism(capsys):
     assert json.loads(third)["ok"] is True
 
 
+def test_check_seed_overrides_the_global_seed(capsys):
+    trials = ("verify", "prop21", "--trials", "300")
+    for argv, seed in [
+        (trials, 0),
+        (("--seed", "5", *trials), 5),
+        ((*trials, "--seed", "6"), 6),
+        (("--seed", "5", *trials, "--seed", "6"), 6),
+    ]:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["seed"] == seed, argv
+
+
+def test_level_one_values_at_t_print_as_fractions(capsys):
+    code, out = run_cli(capsys, "verify", "surjectivity", "--level", "1")
+    values = json.loads(out)["evidence"]["distinct_values_at_T"]
+    assert code == 0
+    assert values == [
+        "0/1", "1/12", "1/6", "1/4", "1/3", "5/12",
+        "1/2", "7/12", "2/3", "3/4", "5/6", "11/12",
+    ]
+
+
 def test_csv_json_same_fields(capsys):
     _, as_json = run_cli(capsys, "rank", "--level", "10")
     _, as_csv = run_cli(capsys, "--output", "csv", "rank", "--level", "10")

@@ -10,6 +10,7 @@ from math import gcd
 import pytest
 
 from gamma0char import farey
+from gamma0char.dirichlet import unit_group_structure
 from gamma0char.farey import (
     EVEN,
     ODD,
@@ -280,8 +281,31 @@ def _frozen_farey_symbol(n: int) -> FareySymbol:
 
 
 def test_farey_symbol_matches_frozen_oracle():
-    for n in [*range(2, 601), 720, 997, 1000, 1024, 1260, 1680, 1999, 2000]:
+    levels = [*range(2, 601), 720, 997, 1000, 1024, 1155, 1260, 1331, 1680, 1849, 1890, 1999, 2000]
+    for n in levels:
         assert farey_symbol(n) == _frozen_farey_symbol(n), n
+
+
+def _coprime_lift(c: int, d: int, n: int) -> tuple[int, int]:
+    """Coprime integers congruent to (c, d) mod n, for gcd(c, d, n) = 1."""
+    c = c % n or n
+    return c, next(d + j * n for j in range(c) if gcd(c, d + j * n) == 1)
+
+
+def test_p1_keys_are_a_complete_invariant():
+    for n in [*range(2, 121), 128, 169, 210, 243, 343, 360]:
+        key = farey._p1_keys(n)
+        units = [u for u, _ in unit_group_structure(n).factors]
+        keys = set()
+        for c in range(n):
+            for d in range(n):
+                if gcd(c, d, n) != 1:
+                    continue
+                k = key(*_coprime_lift(c, d, n))
+                for u in units:
+                    assert key(*_coprime_lift(c * u, d * u, n)) == k, (n, c, d, u)
+                keys.add(k)
+        assert len(keys) == index_gamma0(n), n
 
 
 def test_generators_memo_returns_one_object_per_level():
