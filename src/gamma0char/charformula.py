@@ -178,6 +178,12 @@ def _distinguished_generator(n: int) -> tuple[str, int]:
     return ("free", nonzero[0])
 
 
+def check_kernel_level(n: int) -> None:
+    """Raise ValueError unless n is one of KERNEL_LEVELS."""
+    if n not in KERNEL_LEVELS:
+        raise ValueError(f"level {n} is not in {KERNEL_LEVELS}")
+
+
 def kernel_exponent_check(gamma: Gamma0Element) -> tuple[int, bool]:
     """Exponent sum of the distinguished generator, and whether it vanishes.
 
@@ -186,8 +192,7 @@ def kernel_exponent_check(gamma: Gamma0Element) -> tuple[int, bool]:
     homomorphism; a mismatch raises TheoremViolation.
     """
     n = gamma.level
-    if n not in KERNEL_LEVELS:
-        raise ValueError(f"level {n} is not in {KERNEL_LEVELS}")
+    check_kernel_level(n)
     ref = _distinguished_generator(n)
     word = decompose(gamma, generators(n))
     total = exponent_sum(word, ref)
@@ -209,8 +214,7 @@ def dedekind_identity_quotient(n: int, c: int, d: int) -> int:
     sigma_N(gamma) for gamma = (a, (ad-1)/c; c, d), of determinant 1 by
     construction; a failure of divisibility raises TheoremViolation.
     """
-    if n not in KERNEL_LEVELS:
-        raise ValueError(f"level {n} is not in {KERNEL_LEVELS}")
+    check_kernel_level(n)
     if c <= 0 or c % n != 0:
         raise ValueError(f"c must be a positive multiple of {n}, got {c}")
     if math.gcd(c, d) != 1:

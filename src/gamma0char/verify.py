@@ -17,6 +17,7 @@ from .charformula import (
     KERNEL_LEVELS,
     TheoremViolation,
     beta,
+    check_kernel_level,
     dedekind_identity_quotient,
     kernel_exponent_check,
     sigma_matrix,
@@ -271,6 +272,7 @@ def verify_dedekind_identity(trials: int, seed: int, cmax: int = 10**4) -> dict:
 
 def verify_kernel(level: int, trials: int, seed: int) -> dict:
     """Exponent-sum criterion for the kernel at a distinguished-generator level."""
+    check_kernel_level(level)  # before any Farey work
     _check_trials(trials)
     rng = Random(seed)
     gens = generators(level)

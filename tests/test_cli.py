@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,17 +59,13 @@ def test_characters_command(capsys):
 
 
 def test_eval_char_command(capsys):
-    code, out = run_cli(
-        capsys,
-        "eval-char",
-        "--level", "7",
-        "--chi", "0",
-        "--r1", "1",
-        "--rl", "7=0",
-        "--matrix", "-2,1,-7,3",
-    )
-    assert code == 0
-    assert json.loads(out) == {"value": "1/6"}
+    matrix = ("--matrix", "-2,1,-7,3")
+    # every r_l left out of --rl is zero, so no --rl at all is --rl 7=0 here
+    for rl in (("--rl", "7=0"), ()):
+        argv = ("eval-char", "--level", "7", "--chi", "0", "--r1", "1", *rl, *matrix)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == {"value": "1/6"}, rl
 
 
 def test_beta_and_rank_commands(capsys):
@@ -129,15 +129,18 @@ def test_level_one_values_at_t_print_as_fractions(capsys):
 
 
 def test_csv_json_same_fields(capsys):
-    _, as_json = run_cli(capsys, "rank", "--level", "10")
-    _, as_csv = run_cli(capsys, "--output", "csv", "rank", "--level", "10")
-    doc = json.loads(as_json)
-    rows = list(csv.reader(io.StringIO(as_csv)))
-    header, values = rows
-    assert set(header) == set(doc)
-    as_map = dict(zip(header, values))
-    for key, value in doc.items():
-        assert as_map[key] == str(value)
+    # the conjecture1 report holds a list, which csv prints as its JSON
+    for argv in (("rank", "--level", "10"), ("verify", "conjecture1", "--max", "4")):
+        _, as_json = run_cli(capsys, *argv)
+        _, as_csv = run_cli(capsys, "--output", "csv", *argv)
+        doc = json.loads(as_json)
+        rows = list(csv.reader(io.StringIO(as_csv)))
+        header, values = rows
+        assert set(header) == set(doc)
+        as_map = dict(zip(header, values))
+        for key, value in doc.items():
+            expected = json.dumps(value, sort_keys=True) if isinstance(value, list) else str(value)
+            assert as_map[key] == expected, (argv, key)
 
 
 def test_plain_output(capsys):
@@ -155,9 +158,11 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_invalid_matrix_exit_code(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["psi", "--matrix", "1,2,3,4"])  # determinant != 1
-    assert info.value.code == 2
+    # determinant != 1, three entries, an entry that is not an integer
+    for matrix in ("1,2,3,4", "1,2,3", "a,1,0,1"):
+        with pytest.raises(SystemExit) as info:
+            main(["psi", "--matrix", matrix])
+        assert info.value.code == 2, matrix
 
 
 def test_bad_input_exits_two_with_one_line(capsys, tmp_path):
@@ -200,6 +205,28 @@ def test_failed_check_exits_one(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "table2", "--max", "10")
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_conjecture1_mismatch_exits_one(capsys, monkeypatch):
+    from gamma0char import verify
+
+    monkeypatch.setattr(verify, "beta", lambda n, l: n)  # beta(N, l) != beta(l, l) for l < N
+    code, out = run_cli(capsys, "verify", "conjecture1", "--max", "12")
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    assert {"N": 12, "l": 6, "beta_N_l": 12, "beta_l_l": 6} in doc["mismatches"]
+    assert all(set(item) == {"N", "l", "beta_N_l", "beta_l_l"} for item in doc["mismatches"])
+
+
+def test_prop21_counterexample_exits_one(capsys, monkeypatch):
+    from gamma0char import verify
+
+    monkeypatch.setattr(verify, "omega", lambda x, y: 0)
+    code, out = run_cli(capsys, "verify", "prop21", "--trials", "200")
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    assert set(doc["counterexample"]) == {"x", "y"}
+    assert all(len(doc["counterexample"][k]) == 4 for k in ("x", "y"))
 
 
 def test_theorem_violation_exits_one(capsys, monkeypatch):
@@ -258,3 +285,20 @@ def test_cache_env_fallback(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(capsys, "generators", "--level", "19")
     assert code == 0
     assert (tmp_path / "gamma0-generators-19.json").exists()
+
+
+def test_module_entry_point():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env.pop("GAMMA0_CACHE_DIR", None)
+
+    def cli(*argv):
+        cmd = [sys.executable, "-m", "gamma0char.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+    done = cli("psi", "--matrix", "-2,1,-7,3")
+    assert (done.returncode, json.loads(done.stdout), done.stderr) == (0, {"psi": 2}, "")
+    done = cli("verify", "conjecture2", "--max", "0")
+    assert (done.returncode, done.stdout) == (2, "")
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr

@@ -8,6 +8,8 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from gamma0char import farey
 
 from gamma0char.charformula import CharacterParams, eval_character, sigma_matrix
@@ -129,6 +131,16 @@ def test_kernel_report():
         report = verify_kernel(level, 100, seed=5)
         assert report["ok"] is True
         assert report["checked"] == 100
+
+
+def test_kernel_rejects_a_level_before_building(monkeypatch):
+    def build(n):
+        raise AssertionError(f"built the generator set of level {n}")
+
+    monkeypatch.setattr(farey, "_memo", {})
+    monkeypatch.setattr(farey, "build_generators", build)
+    with pytest.raises(ValueError, match=r"^level 6 is not in \(2, 3, 4, 5, 7, 9, 13, 25\)$"):
+        verify_kernel(6, 1, 0)
 
 
 def test_scans_hold_one_level():
