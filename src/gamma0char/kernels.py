@@ -1,10 +1,11 @@
 """The hot kernels: Dedekind sums and the integer-valued eta-log function.
 
 These are the inner loops of the package, on plain arbitrary-precision
-integers, returning reduced ``(num, den)`` pairs.  ``psi4`` and
-``dedekind_fast`` share one Euclid walk: by the Barkan-Hickerson-Knuth formula
-(Barkan, Hickerson, Knuth 1977), 12*s(h, k) is the alternating sum of the
-partial quotients of h/k plus (h + h*)/k, h*h* == 1 mod k, plus a parity term.
+integers.  The Dedekind sums return reduced ``(num, den)`` pairs.  By the
+Barkan-Hickerson-Knuth formula (Barkan, Hickerson, Knuth 1977), 12*s(h, k) is
+the alternating sum of the partial quotients of h/k plus (h + h*)/k,
+h*h* == 1 mod k, plus a parity term.  ``psi4`` holds the package's one Euclid
+walk over those partial quotients; ``dedekind_fast`` reads it through ``psi4``.
 """
 
 from math import gcd
@@ -44,36 +45,17 @@ def dedekind_naive(h: int, k: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _walk(x: int, y: int) -> int:
-    """W with 12*s(x, y) = W + (x + x*)/y, x* = x^-1 mod y in [0, y); y >= 1.
-
-    For x/y = [q0; q1, ..., qn] (Euclid chain, qn >= 2 if n >= 1),
-    W = -q0 + sum_{i=1..n} (-1)^(i+1) q_i + (0 if n == 0, -3 if n is odd,
-    else -1).  One divmod per step; no gcd and no fraction.
-    """
-    q, x = divmod(x, y)
-    w = -q
-    if not x:
-        return w
-    while True:
-        q, y = divmod(y, x)
-        w += q
-        if not y:
-            return w - 3
-        q, x = divmod(x, y)
-        w -= q
-        if not x:
-            return w - 1
-
-
 def dedekind_fast(h: int, k: int) -> tuple[int, int]:
     """Dedekind sum s(h, k) from the partial quotients of h/k, reduced (num, den).
 
-    s(h, k) = (k*W + h + h*)/(12k), W from ``_walk`` and h* = h^-1 mod k
-    (Barkan, Hickerson, Knuth 1977): O(log k) integer steps, one modular
+    s(h, k) = (k*W + h + h*)/(12k), h* = h^-1 mod k in [0, k), with W read
+    off ``psi4``'s walk (Barkan, Hickerson, Knuth 1977): the matrix
+    (h*, (h*h - 1)/k; k, h) has determinant 1 and h*//k == 0, so
+    W = -3 - psi4(h*, (h*h - 1)/k, k, h).  O(log k) integer steps, one modular
     inverse, one reduction.  Caller guarantees gcd(h, k) == 1 and k >= 1.
     """
-    num = k * _walk(h, k) + h + pow(h, -1, k)
+    inv = pow(h, -1, k)
+    num = h + inv - k * (3 + psi4(inv, (inv * h - 1) // k, k, h))
     g = gcd(num, 12 * k)
     return num // g, 12 * k // g
 
@@ -84,14 +66,34 @@ def psi4(a: int, b: int, c: int, d: int) -> int:
     c > 0: (a+d)/c - 12 s(d, c) - 3;   c < 0: (a+d)/c + 12 s(d, -c) + 3;
     c == 0: b for a > 0 and -b - 6 for a < 0.  As a == d^-1 mod c, the
     (d + d*)/c part of 12 s(d, c) cancels (Barkan, Hickerson, Knuth 1977):
-    c > 0 gives floor(a/c) - 3 - W(d, c) (see ``_walk``), c < 0 the value at
-    -M plus 6.  A determinant other than 1 raises ArithmeticError.
+    for c > 0 the value is floor(a/c) - 3 - W(d, c), where, for
+    d/c = [q0; q1, ..., qn] (Euclid chain, qn >= 2 if n >= 1),
+    W = -q0 + sum_{i=1..n} (-1)^(i+1) q_i + (0 if n == 0, -3 if n is odd,
+    else -1).  For c < 0 it is the value at -M plus 6.  This is the package's
+    one Euclid walk; each step is a ``//`` and a ``%``, whose single-digit
+    fast paths ``divmod`` lacks.  A determinant other than 1 raises
+    ArithmeticError.
     """
     if a * d - b * c != 1:
         raise ArithmeticError(f"determinant of ({a},{b},{c},{d}) is {a * d - b * c}, not 1")
     if c > 0:
-        return a // c - 3 - _walk(d, c)
-    if c < 0:
-        return a // c + 3 - _walk(-d, -c)
-    return b if a > 0 else -b - 6
-
+        w = a // c - 3
+    elif c < 0:
+        w = a // c + 3
+        c, d = -c, -d
+    else:
+        return b if a > 0 else -b - 6
+    # w -= W(d, c), one partial quotient per step
+    w += d // c
+    d %= c
+    if not d:
+        return w
+    while True:
+        w -= c // d
+        c %= d
+        if not c:
+            return w + 3
+        w += d // c
+        d %= c
+        if not d:
+            return w + 1

@@ -40,18 +40,27 @@ def pow4(u: Entries, n: int) -> Entries:
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class UniModular:
-    """A 2x2 integer matrix with determinant 1."""
+    """A 2x2 integer matrix with determinant 1.
+
+    Frozen and slotted: ``__init__`` checks the determinant and stores the
+    entries through the slot descriptors, which a frozen class's own
+    ``__setattr__`` would refuse.
+    """
 
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant is not 1: {self.entries()}")
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant is not 1: {(a, b, c, d)}")
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
 
     def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
@@ -72,32 +81,41 @@ class UniModular:
         return f"({self.a},{self.b};{self.c},{self.d})"
 
 
+_set_a, _set_b, _set_c, _set_d = (UniModular.__dict__[f].__set__ for f in "abcd")
+
 T = UniModular(1, 1, 0, 1)
 S = UniModular(0, -1, 1, 0)
 I = UniModular(1, 0, 0, 1)
 NEG_I = UniModular(-1, 0, 0, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gamma0Element:
-    """An element of Gamma0(N): determinant-1 matrix with N dividing c."""
+    """An element of Gamma0(N): determinant-1 matrix with N dividing c.
+
+    Built like ``UniModular``: checks first, then the slot descriptors.
+    """
 
     matrix: UniModular
     level: int
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError(f"level must be positive, got {self.level}")
-        if self.matrix.c % self.level != 0:
+    def __init__(self, matrix: UniModular, level: int) -> None:
+        if level < 1:
+            raise ValueError(f"level must be positive, got {level}")
+        if matrix.c % level != 0:
             raise ValueError(
-                f"matrix {self.matrix} is not in Gamma0({self.level}): "
-                f"{self.level} does not divide {self.matrix.c}"
+                f"matrix {matrix} is not in Gamma0({level}): {level} does not divide {matrix.c}"
             )
+        _set_matrix(self, matrix)
+        _set_level(self, level)
 
     def __mul__(self, other: "Gamma0Element") -> "Gamma0Element":
         if self.level != other.level:
             raise ValueError("level mismatch")
         return Gamma0Element(self.matrix * other.matrix, self.level)
+
+
+_set_matrix, _set_level = (Gamma0Element.__dict__[f].__set__ for f in ("matrix", "level"))
 
 
 def psi(m: UniModular) -> int:

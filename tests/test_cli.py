@@ -106,6 +106,36 @@ def test_seed_determinism(capsys):
     assert json.loads(third)["ok"] is True
 
 
+# stdout bytes of seeded and exact reports, recorded once; a faster kernel or
+# value type must leave every byte as it is
+PINNED_STDOUT = [
+    (
+        "--seed 7 verify prop21 --trials 3000",
+        '{"case_hits": {"-12": 254, "0": 2267, "12": 479}, "ok": true, "seed": 7, "trials": 3000}\n',
+    ),
+    (
+        "--seed 7 verify dedekind-identity --trials 200",
+        '{"checked": 1600, "ok": true, "seed": 7, "trials_per_level": 200}\n',
+    ),
+    (
+        "--seed 7 verify kernel --level 13 --trials 200",
+        '{"checked": 200, "level": 13, "ok": true, "seed": 7, "trials": 200}\n',
+    ),
+    ("verify conjecture3 --max 60", '{"checked": 59, "max_n": 60, "mismatches": [], "ok": true}\n'),
+    (
+        "eval-char --level 12 --chi 3 --r1 5 --rl 2=1/3,3=-1/4,4=2/5,6=1/6,12=-7/12 --matrix 5,2,12,5",
+        '{"value": "43/60"}\n',
+    ),
+    ("dedekind --h 999999 --k 1000003", '{"s": "-41666666667/2000006"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_STDOUT, ids=[a for a, _ in PINNED_STDOUT])
+def test_pinned_stdout_bytes(capsys, argv, expected):
+    code, out = run_cli(capsys, *argv.split())
+    assert (code, out) == (0, expected)
+
+
 def test_check_seed_overrides_the_global_seed(capsys):
     trials = ("verify", "prop21", "--trials", "300")
     for argv, seed in [

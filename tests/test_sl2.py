@@ -1,6 +1,10 @@
 """Matrix invariants: psi, the omega correction, chi_t, sigma."""
 
+import copy
+import dataclasses
+import pickle
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -30,6 +34,31 @@ def test_unimodular_validation():
     with pytest.raises(ValueError):
         UniModular(1, 0, 0, 2)
     with pytest.raises(ValueError):
+        Gamma0Element(UniModular(1, 0, 1, 1), 2)
+
+
+def test_value_type_contract():
+    gamma = Gamma0Element(T, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        T.a = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gamma.level = 3
+    assert repr(T) == "UniModular(a=1, b=1, c=0, d=1)"
+    assert repr(gamma) == "Gamma0Element(matrix=UniModular(a=1, b=1, c=0, d=1), level=3)"
+    assert str(T) == "(1,1;0,1)"
+    twin = UniModular(1, 1, 0, 1)
+    assert twin == T and hash(twin) == hash(T) and twin is not T
+    assert Gamma0Element(twin, 3) == gamma and hash(Gamma0Element(twin, 3)) == hash(gamma)
+    assert UniModular(a=1, b=1, c=0, d=1) == T and Gamma0Element(matrix=T, level=3) == gamma
+    assert T != (1, 1, 0, 1) and T != UniModular(1, 2, 0, 1) and gamma != Gamma0Element(T, 6)
+    for value in (T, gamma):
+        for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert copied == value and type(copied) is type(value) and repr(copied) == repr(value)
+    with pytest.raises(ValueError, match=r"^determinant is not 1: \(1, 0, 0, 2\)$"):
+        UniModular(1, 0, 0, 2)
+    with pytest.raises(ValueError, match=r"^level must be positive, got 0$"):
+        Gamma0Element(T, 0)
+    with pytest.raises(ValueError, match=r"^matrix \(1,0;1,1\) is not in Gamma0\(2\): 2 does not divide 1$"):
         Gamma0Element(UniModular(1, 0, 1, 1), 2)
 
 
@@ -237,8 +266,69 @@ def test_psi4_rejects_determinant_other_than_one():
     # all but (2, 0, 5, 4) have c == 0 or a*d == 1 (mod c), so a test of
     # integrality alone would let them through
     for entries in [(2, 5, 0, 7), (1, 0, 5, 6), (6, 0, 5, 1), (2, 0, 5, 4), (3, 1, -5, 2)]:
-        with pytest.raises(ArithmeticError):
+        a, b, c, d = entries
+        message = f"determinant of ({a},{b},{c},{d}) is {a * d - b * c}, not 1"
+        with pytest.raises(ArithmeticError, match=rf"^{re.escape(message)}$"):
             kernels.psi4(*entries)
+
+
+def _frozen_walk(x, y):
+    # the divmod walk psi4 and dedekind_fast called before psi4 inlined it,
+    # frozen verbatim as an oracle
+    q, x = divmod(x, y)
+    w = -q
+    if not x:
+        return w
+    while True:
+        q, y = divmod(y, x)
+        w += q
+        if not y:
+            return w - 3
+        q, x = divmod(x, y)
+        w -= q
+        if not x:
+            return w - 1
+
+
+def _frozen_psi4(a, b, c, d):
+    if a * d - b * c != 1:
+        raise ArithmeticError(f"determinant of ({a},{b},{c},{d}) is {a * d - b * c}, not 1")
+    if c > 0:
+        return a // c - 3 - _frozen_walk(d, c)
+    if c < 0:
+        return a // c + 3 - _frozen_walk(-d, -c)
+    return b if a > 0 else -b - 6
+
+
+def _frozen_psi4_cases(rng):
+    """Entry tuples on which psi4 is compared with the frozen walk."""
+    cases = [(s, b, 0, s) for s in (1, -1) for b in range(-5, 6)]
+    # every 1 <= |c| <= 2000, a shifted by t*c
+    for c in range(-2000, 2001):
+        if c:
+            cases += _matrices_with_lower_row(rng, c, range(-2, 3))
+    # around the 30-bit digit of CPython ints, past two digits, and far beyond
+    for size in (2**30 - 1, 2**30, 2**30 + 1, 2**60 - 1, 2**60 + 1, 10**40):
+        for c in (size, -size):
+            for _ in range(20):
+                cases += _matrices_with_lower_row(rng, c, range(-2, 3))
+    return cases
+
+
+def test_psi4_matches_frozen_walk():
+    for a, b, c, d in _frozen_psi4_cases(random.Random(31)):
+        assert kernels.psi4(a, b, c, d) == _frozen_psi4(a, b, c, d), (a, b, c, d)
+
+
+def test_dedekind_fast_takes_any_numerator():
+    # psi4 reduces h itself, so h need not lie in [0, k)
+    for h in (-7, 0, 5):
+        assert dedekind_sum_fast(h, 1) == dedekind_sum(h, 1) == 0
+    rng = random.Random(37)
+    for k in range(2, 201):
+        for h in rng.sample(range(-3 * k, 3 * k), 12) + [-1, -k - 1, k + 1, 2 * k + 1]:
+            if (h < 0 or h >= k) and gcd(h, k) == 1:
+                assert dedekind_sum_fast(h, k) == dedekind_sum(h, k), (h, k)
 
 
 def _randint_random_sl2(rng, max_len=40):
