@@ -41,7 +41,6 @@ from .charformula import (
     sigma_matrix,
 )
 from .verify import (
-    SurjectivityReport,
     verify_conjecture1,
     verify_conjecture2,
     verify_conjecture3,
@@ -58,7 +57,6 @@ __all__ = [
     "Gamma0Element",
     "GeneratorSet",
     "SigmaMatrix",
-    "SurjectivityReport",
     "TheoremViolation",
     "UniModular",
     "UnitGroupStructure",

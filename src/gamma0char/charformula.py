@@ -7,9 +7,9 @@ of the difference homomorphisms on the free generators; its gcd per column is
 the positive generator beta(N, l) of the image, and its rank drives the
 surjectivity analysis in ``verify``.
 
-A scan visits each level once, so ``sigma_matrix`` keeps only the most recent
-level's matrix.  What later levels need of it, the column gcds beta(N, l),
-stays in a per-process table of small integers that ``beta`` reads.
+A scan visits each level once, so ``sigma_matrix`` keeps no matrix.  What
+later levels need of it, the column gcds beta(N, l), stays in a per-process
+table of small integers that ``beta`` reads; it is the sigma layer's only memo.
 """
 
 from __future__ import annotations
@@ -122,12 +122,11 @@ class SigmaMatrix:
 _beta_table: dict[int, dict[int, int]] = {}
 
 
-@lru_cache(maxsize=1)
 def sigma_matrix(n: int) -> SigmaMatrix:
     """The r x (t-1) integer matrix of sigma values at level n >= 2.
 
-    Only the most recent level's matrix is kept; computing one also records
-    its column gcds, the beta(n, l), for ``beta``.
+    Each call builds the matrix afresh and records its column gcds, the
+    beta(n, l), for ``beta``.
     """
     if n < 2:
         raise ValueError(f"level must be at least 2, got {n}")

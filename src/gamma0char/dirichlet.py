@@ -114,7 +114,6 @@ def unit_group_structure(n: int) -> UnitGroupStructure:
 def _dlog_table(n: int) -> dict[int, tuple[int, ...]]:
     structure = unit_group_structure(n)
     table: dict[int, tuple[int, ...]] = {}
-    orders = [order for _, order in structure.factors]
 
     def fill(i: int, value: int, exps: tuple[int, ...]) -> None:
         if i == len(structure.factors):

@@ -1,5 +1,7 @@
 """Exact rational arithmetic: Dedekind sums, circle exponents, integer rank.
 
+Both Dedekind sum routes return a ``Fraction``: ``dedekind_sum`` sums the
+definition, ``dedekind_sum_fast`` reads the Euclid walk of ``kernels.psi4``.
 Rationals enter as ``fractions.Fraction`` or int; floats and other inexact
 numbers are rejected with ``ValueError``.  A point of the unit circle is a
 ``CircleExponent``, its exponent mod 1 held as a reduced integer pair, so hot
@@ -24,24 +26,45 @@ def _check_dedekind_args(h: int, k: int) -> None:
         raise ValueError(f"h and k must be coprime, got ({h}, {k})")
 
 
+# Up to this size the vectorised int64 path of the naive sum cannot overflow:
+# its largest int64 value is the dot product sum(r*(h*r mod k)) < k**3/2,
+# 5*10**17 at k = 10**6 (the numerator built from it is a Python int).
+_NAIVE_VECTOR_LIMIT = 10**6
+
+
 def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h, k) by direct summation of the defining sum.
 
-    Requires gcd(h, k) == 1 and k >= 1; s(h, 1) == 0 (empty sum) and
+    The sum over r = 1..k-1 of (r/k)*(hr/k - floor(hr/k) - 1/2), cleared to the
+    integer 12*k^2*s(h,k) = 12*sum(r*(h*r mod k)) - 3*k^2*(k-1).  Requires
+    gcd(h, k) == 1 and k >= 1; s(h, 1) == 0 (empty sum) and
     s(h, k) == s(h mod k, k).  O(k) time; kept as the oracle for
     ``dedekind_sum_fast``.
     """
     _check_dedekind_args(h, k)
-    return Fraction(*kernels.dedekind_naive(h, k))
+    h %= k
+    if k <= _NAIVE_VECTOR_LIMIT:
+        import numpy as np
+
+        r = np.arange(1, k, dtype=np.int64)
+        x = int(r.dot(h * r % k))
+    else:
+        x = sum(r * (h * r % k) for r in range(1, k))
+    return Fraction(12 * x - 3 * k * k * (k - 1), 12 * k * k)
 
 
 def dedekind_sum_fast(h: int, k: int) -> Fraction:
-    """s(h, k) from the continued-fraction walk of h/k; O(log k) integer steps.
+    """s(h, k) from the partial quotients of h/k; O(log k) integer steps.
 
-    Same domain and same values as ``dedekind_sum`` on every input.
+    s(h, k) = (k*W + h + h*)/(12k), h* = h^-1 mod k in [0, k), with W read
+    off ``kernels.psi4``'s walk (Barkan, Hickerson, Knuth 1977): the matrix
+    (h*, (h*h - 1)/k; k, h) has determinant 1 and h*//k == 0, so
+    W = -3 - psi4(h*, (h*h - 1)/k, k, h).  Same domain and same values as
+    ``dedekind_sum`` on every input.
     """
     _check_dedekind_args(h, k)
-    return Fraction(*kernels.dedekind_fast(h, k))
+    inv = pow(h, -1, k)
+    return Fraction(h + inv - k * (3 + kernels.psi4(inv, (inv * h - 1) // k, k, h)), 12 * k)
 
 
 def gcd_all(xs) -> int:

@@ -32,7 +32,6 @@ import os
 import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import prod
 
 from .dirichlet import factorize
@@ -252,20 +251,14 @@ def _extract_generators(symbol: FareySymbol) -> GeneratorSet:
     matrix, an Odd side conjugates TS, a Free pair maps its left member onto
     its right one (T for the boundary pair).
 
-    The label counts are checked against the measure and the closed forms
-    first.  The products run on entry tuples, with the adjugate of a side
-    matrix as its inverse; each generator is checked (level, h^2 or h^3 = -I)
-    and then built as one ``UniModular``.
+    The label counts are checked against the closed forms first, which
+    satisfy the measure formula, so the check implies it.  The products run on
+    entry tuples, with the adjugate of a side matrix as its inverse; each
+    generator is checked (level, h^2 or h^3 = -I) and then built as one
+    ``UniModular``.
     """
     n = symbol.level
     counts = symbol.counts()
-    r, e2, e3 = counts
-    # the measure r = index/6 + 1 - e2/2 - 2*e3/3, cleared of denominators
-    measure6 = index_gamma0(n) + 6 - 3 * e2 - 4 * e3
-    if measure6 != 6 * r:
-        raise RuntimeError(
-            f"level {n}: {r} free generators against measure {Fraction(measure6, 6)}"
-        )
     if counts != closed_form_counts(n):
         raise RuntimeError(
             f"level {n}: counts {counts} against closed forms {closed_form_counts(n)}"

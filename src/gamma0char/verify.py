@@ -1,16 +1,13 @@
 """Batch verifiers: surjectivity of the parametrization, beta tables, ranks.
 
-Every verifier but ``verify_surjectivity`` returns a JSON-ready dict with a
-top-level "ok" flag and enough evidence to audit the verdict.
-``verify_surjectivity`` returns a ``SurjectivityReport``, whose verdict is
-either answer; the command line adds ``"ok": true`` to its JSON.  Conjecture
-scans report mismatches as findings rather than raising.
+Every verifier returns a JSON-ready dict with a top-level "ok" flag and
+enough evidence to audit the verdict.  Conjecture scans report mismatches as
+findings rather than raising.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 
 from .charformula import (
@@ -69,16 +66,6 @@ def predicted_beta(n: int) -> int:
     return values[1] if math.isqrt(n) ** 2 == n else values[0]
 
 
-@dataclass(frozen=True)
-class SurjectivityReport:
-    level: int
-    verdict: str  # "Surjective" | "NotSurjective"
-    evidence: dict
-
-    def to_json(self) -> dict:
-        return {"level": self.level, "verdict": self.verdict, "evidence": self.evidence}
-
-
 def _torsion_image(n: int, gens: GeneratorSet) -> set[tuple[int, ...]]:
     """Values at (-I, each elliptic generator) over every (chi, r1) pair.
 
@@ -107,42 +94,34 @@ def _torsion_image(n: int, gens: GeneratorSet) -> set[tuple[int, ...]]:
     return image
 
 
-def verify_surjectivity(n: int) -> SurjectivityReport:
+def verify_surjectivity(n: int) -> dict:
     """Decide whether the parameter triples realise every character of Gamma0(N).
 
     Surjective iff (i) the sigma matrix has full row rank, so the divisor
     weights can steer the free generators to any rational targets, and (ii)
     the (Dirichlet character, r1) pairs reach every admissible assignment of
     values at -I and the elliptic generators, a group of order
-    2**(e2 + 1) * 3**e3.
+    2**(e2 + 1) * 3**e3.  The report's "verdict" is "Surjective" or
+    "NotSurjective"; either is a completed check, so its "ok" is true.
     """
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
     if n == 1:
         values = sorted((chi_t(t, T) for t in range(12)), key=lambda v: v.value)
-        return SurjectivityReport(
-            1,
-            "Surjective",
-            {"characters": 12, "distinct_values_at_T": [str(v) for v in values]},
-        )
+        evidence = {"characters": 12, "distinct_values_at_T": [str(v) for v in values]}
+        return {"ok": True, "level": 1, "verdict": "Surjective", "evidence": evidence}
     gens = generators(n)
     r, e2, e3 = gens.counts()
-    t_count = len(divisors(n))
+    t_minus_1 = len(divisors(n)) - 1
     rank = integer_rank(sigma_matrix(n).entries)
-    evidence: dict = {
-        "r": r,
-        "e2": e2,
-        "e3": e3,
-        "t_minus_1": t_count - 1,
-        "rank": rank,
-        "r_exceeds_t_minus_1": r > t_count - 1,
-    }
+    evidence = {"r": r, "e2": e2, "e3": e3, "t_minus_1": t_minus_1, "rank": rank}
+    evidence["r_exceeds_t_minus_1"] = r > t_minus_1
     if rank < r:
-        return SurjectivityReport(n, "NotSurjective", evidence)
+        return {"ok": True, "level": n, "verdict": "NotSurjective", "evidence": evidence}
     image_size = len(_torsion_image(n, gens))
     evidence["torsion_tuples_matched"] = image_size
-    surjective = image_size == 2 ** (e2 + 1) * 3**e3
-    return SurjectivityReport(n, "Surjective" if surjective else "NotSurjective", evidence)
+    verdict = "Surjective" if image_size == 2 ** (e2 + 1) * 3**e3 else "NotSurjective"
+    return {"ok": True, "level": n, "verdict": verdict, "evidence": evidence}
 
 
 def _check_max_n(max_n: int) -> None:

@@ -127,6 +127,33 @@ PINNED_STDOUT = [
         '{"value": "43/60"}\n',
     ),
     ("dedekind --h 999999 --k 1000003", '{"s": "-41666666667/2000006"}\n'),
+    # the naive sum's vectorised path at its limit k = 10**6, and its
+    # pure-Python loop above it
+    ("dedekind --h 7 --k 1000000 --naive", '{"s": "952332381/80000"}\n'),
+    ("dedekind --h 999999 --k 1000003 --naive", '{"s": "-41666666667/2000006"}\n'),
+    (
+        "verify surjectivity --level 1",
+        '{"evidence": {"characters": 12, "distinct_values_at_T": ["0/1", "1/12", "1/6", "1/4",'
+        ' "1/3", "5/12", "1/2", "7/12", "2/3", "3/4", "5/6", "11/12"]}, "level": 1, "ok": true,'
+        ' "verdict": "Surjective"}\n',
+    ),
+    (
+        "verify surjectivity --level 9",
+        '{"evidence": {"e2": 0, "e3": 0, "r": 3, "r_exceeds_t_minus_1": true, "rank": 2,'
+        ' "t_minus_1": 2}, "level": 9, "ok": true, "verdict": "NotSurjective"}\n',
+    ),
+    (
+        "verify surjectivity --level 13",
+        '{"evidence": {"e2": 2, "e3": 2, "r": 1, "r_exceeds_t_minus_1": false, "rank": 1,'
+        ' "t_minus_1": 1, "torsion_tuples_matched": 72}, "level": 13, "ok": true,'
+        ' "verdict": "Surjective"}\n',
+    ),
+    (
+        "--output plain verify surjectivity --level 12",
+        "evidence.e2=0\nevidence.e3=0\nevidence.r=5\nevidence.r_exceeds_t_minus_1=False\n"
+        "evidence.rank=5\nevidence.t_minus_1=5\nevidence.torsion_tuples_matched=2\n"
+        "level=12\nok=True\nverdict=Surjective\n",
+    ),
 ]
 
 

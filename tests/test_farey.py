@@ -356,7 +356,7 @@ def test_extract_rejects_relabelled_sides():
     even = [i for i, label in enumerate(symbol.pairings) if label == EVEN]
     odd = [i for i, label in enumerate(symbol.pairings) if label == ODD]
     for side, label in ((even[0], ODD), (odd[0], EVEN)):
-        with pytest.raises(RuntimeError, match="measure"):
+        with pytest.raises(RuntimeError, match="closed forms"):
             farey._extract_generators(_relabelled(symbol, {side: label}))
     # two Even sides as one free pair keep the measure, not the closed forms
     both = _relabelled(symbol, {even[0]: ("free", 9), even[1]: ("free", 9)})

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gamma0char.charformula import KERNEL_LEVELS
-from gamma0char.exact import dedekind_sum_fast, integer_rank
+from gamma0char.exact import dedekind_sum, dedekind_sum_fast, integer_rank
 from gamma0char.farey import (
     build_generators,
     decompose,
@@ -22,7 +22,7 @@ from gamma0char.farey import (
     reconstruct,
     save_cached_generators,
 )
-from gamma0char.kernels import dedekind_naive, psi4
+from gamma0char.kernels import psi4
 from gamma0char.sampling import random_sl2
 from gamma0char.sl2 import I, NEG_I, Gamma0Element, UniModular, omega, psi
 
@@ -152,9 +152,9 @@ def small_unimodular(draw):
 def test_psi4_matches_four_case_formula_on_naive_sums(m):
     a, b, c, d = m
     if c > 0:
-        expected = Fraction(a + d, c) - 12 * Fraction(*dedekind_naive(d, c)) - 3
+        expected = Fraction(a + d, c) - 12 * dedekind_sum(d, c) - 3
     elif c < 0:
-        expected = Fraction(a + d, c) + 12 * Fraction(*dedekind_naive(d, -c)) + 3
+        expected = Fraction(a + d, c) + 12 * dedekind_sum(d, -c) + 3
     else:
         expected = b if a > 0 else -b - 6
     assert psi4(a, b, c, d) == expected

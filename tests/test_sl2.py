@@ -273,7 +273,7 @@ def test_psi4_rejects_determinant_other_than_one():
 
 
 def _frozen_walk(x, y):
-    # the divmod walk psi4 and dedekind_fast called before psi4 inlined it,
+    # the divmod walk psi4 and the fast Dedekind sum called before psi4 inlined it,
     # frozen verbatim as an oracle
     q, x = divmod(x, y)
     w = -q
