@@ -22,7 +22,12 @@ formula (``_p1_keys``).  Two invariants of the result are relied on:
    polygon would hold two equivalent tiles.
 
 Word decomposition walks an element's image of the infinite cusp back into
-the base polygon, crossing the one paired side above it at each step.
+the base polygon, crossing the one paired side above it at each step.  The
+walk reads a side table of the generator set (``GeneratorSet.walk_table``):
+per interior side, the crossing matrix as an entry tuple and the letter it
+records, with inverses taken as adjugates.  ``reconstruct`` reads a second
+table, ref -> (generator, inverse).  Both are built on first use and kept
+on the set; extraction alone, which is all the scans need, builds neither.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import os
 import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 from .dirichlet import factorize
@@ -210,6 +216,10 @@ def farey_symbol(n: int) -> FareySymbol:
     return FareySymbol(n, tuple(verts), tuple(pairings))
 
 
+# the GeneratorSet field holding the generators a ref's kind names
+_KIND_FIELD = {"free": "free", "e2": "elliptic2", "e3": "elliptic3"}
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """Independent generators of Gamma0(N) classified by order.
@@ -220,9 +230,13 @@ class GeneratorSet:
     was read from (absent for level 1, which uses {S, ST}).
 
     ``side_rules[i]`` is (kind, index, orient) for the generator pairing side
-    i, orient -1 only on the right member of a free pair; the cusp walk in
-    decompose() reads it.  Only interior sides have a rule: the two boundary
-    entries, realised by T, are None.
+    i, orient -1 only on the right member of a free pair.  Only interior
+    sides have a rule: the two boundary entries, realised by T, are None.
+
+    ``walk_table`` and ``letter_table`` are what decompose() and
+    reconstruct() read.  Each is built from the fields above on its first
+    use and then kept on the set, so a scan that only extracts generators
+    never pays for them.
     """
 
     level: int
@@ -243,7 +257,44 @@ class GeneratorSet:
 
     def matrix_for(self, ref: tuple[str, int]) -> UniModular:
         kind, idx = ref
-        return {"free": self.free, "e2": self.elliptic2, "e3": self.elliptic3}[kind][idx]
+        return getattr(self, _KIND_FIELD[kind])[idx]
+
+    @cached_property
+    def letter_table(self) -> dict[tuple[str, int], tuple[Entries, Entries]]:
+        """ref -> (entries of the generator, entries of its inverse)."""
+        table = {}
+        for ref, g in self.all_generators():
+            a, b, c, d = g.entries()
+            table[ref] = ((a, b, c, d), (d, -b, -c, a))
+        return table
+
+    @cached_property
+    def walk_table(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple, ...]]:
+        """(floor, sides) for the cusp walk in decompose(); level >= 2 only.
+
+        ``floor`` is the finite vertex chain, in which the walk bisects for
+        the side above a cusp.  ``sides[j]`` belongs to side j + 1, the one
+        from floor[j] to the next vertex, and is (u, letter): the matrix that
+        carries the tile across that side back into the base polygon, and
+        the inverse letter the crossing records.  An Odd side's u depends on
+        which half of the side the cusp lies over, so its entry is
+        (u, letter, p, q, u', letter'), where p/q is the side's mediant and
+        the primed pair applies at or right of it.
+        """
+        vertices = self.symbol.vertices
+        sides = []
+        for side in range(1, len(vertices) - 2):
+            kind, idx, orient = self.side_rules[side]
+            ref = (kind, idx)
+            g, g_inv = self.letter_table[ref]
+            if kind == "free":
+                sides.append((g, (ref, -1)) if orient > 0 else (g_inv, (ref, 1)))
+            elif kind == "e2":
+                sides.append((g, (ref, -1)))
+            else:
+                (p1, q1), (p2, q2) = vertices[side], vertices[side + 1]
+                sides.append((g, (ref, 2), p1 + p2, q1 + q2, g_inv, (ref, 1)))
+        return vertices[1:-1], tuple(sides)
 
 
 def _extract_generators(symbol: FareySymbol) -> GeneratorSet:
@@ -466,10 +517,11 @@ def exponent_sum(word: Word, ref: tuple[str, int]) -> int:
 
 def reconstruct(word: Word, gens: GeneratorSet) -> UniModular:
     """The product sign * I * g1**e1 * g2**e2 * ... that ``word`` spells."""
+    table = gens.letter_table
     m = (1, 0, 0, 1) if word.sign == 1 else (-1, 0, 0, -1)
     for ref, exp in word.letters:
-        g = gens.matrix_for(ref).entries()
-        m = mul4(m, g if exp == 1 else pow4(g, exp))
+        g, g_inv = table[ref]
+        m = mul4(m, g if exp == 1 else g_inv if exp == -1 else pow4(g, exp))
     return UniModular(*m)
 
 
@@ -494,53 +546,38 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
 
     Each crossing multiplies on the left by the matrix carrying the tile that
     currently holds the cusp a/c back into the base polygon, and records the
-    inverse letter.  The matrix stays in Gamma0(N) (only powers of T and
-    generators multiply it), so by invariant 1 the cusp is no vertex.  A
-    per-walk set of visited states guards against cycling, which would
-    indicate a broken symbol.
+    inverse letter; both come from the set's ``walk_table``.  The matrix
+    stays in Gamma0(N) (only powers of T and generators multiply it), so by
+    invariant 1 the cusp is no vertex.  A per-walk set of visited states
+    guards against cycling, which would indicate a broken symbol.
     """
-    symbol = gens.symbol
-    floor = symbol.vertices[1:-1]
-    rules = gens.side_rules
-    cur = mat.entries()
+    floor, sides = gens.walk_table
+    a, b, c, d = mat.entries()
     letters: list[tuple[tuple[str, int], int]] = []
     seen: set = set()
-
-    def crossing(side: int, num: int, den: int):
-        kind, idx, orient = rules[side]
-        if kind == "free":
-            g = gens.free[idx]
-            if orient > 0:
-                return g.entries(), (("free", idx), -1)
-            return pow4(g.entries(), -1), (("free", idx), 1)
-        if kind == "e2":
-            return gens.elliptic2[idx].entries(), (("e2", idx), -1)
-        g = gens.elliptic3[idx]
-        (p1, q1), (p2, q2) = symbol.vertices[side], symbol.vertices[side + 1]
-        if num * (q1 + q2) < (p1 + p2) * den:
-            return g.entries(), (("e3", idx), 2)
-        return pow4(g.entries(), -1), (("e3", idx), 1)
-
-    while cur[2] != 0:
-        a, b, c, d = cur
+    while c != 0:
         m = a // c
         if m:
             a, b = a - m * c, b - m * d
-            cur = (a, b, c, d)
             letters.append((("free", 0), m))
         # the cusp is num/den in lowest terms (gcd(a, c) = 1) with
         # 0 <= num < den: the remainder of a by c lies in [0, c) or (c, 0]
         num, den = (a, c) if c > 0 else (-a, -c)
         # last vertex p/q < num/den; p*den - num*q grows along the vertices
-        pos = bisect_right(floor, 0, key=lambda v: v[0] * den - num * v[1]) - 1
-        u, letter = crossing(pos + 1, num, den)
-        cur = mul4(u, cur)
+        side = sides[bisect_right(floor, 0, key=lambda v: v[0] * den - num * v[1]) - 1]
+        if len(side) == 2:
+            (e, f, g, h), letter = side
+        else:  # an Odd side: which half of it the cusp lies over
+            u, letter, p, q, u_right, letter_right = side
+            if num * q >= p * den:
+                u, letter = u_right, letter_right
+            e, f, g, h = u
+        a, b, c, d = e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d
         letters.append(letter)
-        state = cur if cur[2] > 0 or (cur[2] == 0 and cur[0] > 0) else tuple(-t for t in cur)
+        state = (a, b, c, d) if c > 0 or (c == 0 and a > 0) else (-a, -b, -c, -d)
         if state in seen:
             raise RuntimeError("side-crossing walk entered a cycle")
         seen.add(state)
-    a, b = cur[0], cur[1]
     if a * b:
         letters.append((("free", 0), a * b))
     return letters

@@ -1,9 +1,11 @@
 """Integer matrices of determinant one and the invariants living on them.
 
 ``psi`` is the integer-valued four-case invariant, ``omega`` the {-12, 0, 12}
-correction term making it additive, ``chi_t`` the twelve induced circle-valued
-characters of SL2(Z), and ``sigma`` the level-lowering difference
-homomorphisms on Gamma0(N).
+correction term making it additive, ``chi_t`` the twelve induced
+circle-valued characters of SL2(Z), and ``sigma`` the level-lowering
+difference homomorphisms on Gamma0(N).  ``mul4``, ``pow4`` and ``omega4``
+work on plain entry tuples (a, b, c, d); the seeded composition-law check
+runs on them and on ``kernels.psi4`` without building a ``UniModular``.
 """
 
 from __future__ import annotations
@@ -123,22 +125,29 @@ def psi(m: UniModular) -> int:
     return kernels.psi4(m.a, m.b, m.c, m.d)
 
 
-def omega(x: UniModular, y: UniModular) -> int:
-    """Correction term in {-12, 0, 12} with psi(xy) = psi(x) + psi(y) + omega(x, y).
+def omega4(x: Entries, y: Entries) -> int:
+    """Correction term in {-12, 0, 12} with psi(xy) = psi(x) + psi(y) + omega(x, y),
+    for x and y given as entry tuples (a, b, c, d).
 
-    Decided purely from the sign pattern of the three lower-left entries;
-    never evaluated through psi itself.
+    Decided purely from the signs of the lower-left entries of x, y and xy
+    (and of the d entries when x and y are both upper triangular); never
+    evaluated through psi itself.
     """
-    c1, d1 = x.c, x.d
-    c2 = y.c
-    c3 = c1 * y.a + d1 * c2
-    if c1 == 0 and c2 == 0 and d1 < 0 and y.d < 0:
+    _, _, c1, d1 = x
+    a2, _, c2, d2 = y
+    c3 = c1 * a2 + d1 * c2
+    if c1 == 0 and c2 == 0 and d1 < 0 and d2 < 0:
         return 12
     if c1 >= 0 and c2 >= 0 and c3 < 0:
         return 12
     if c1 < 0 and c2 < 0 and c3 >= 0:
         return -12
     return 0
+
+
+def omega(x: UniModular, y: UniModular) -> int:
+    """``omega4`` on the entries of two ``UniModular`` matrices."""
+    return omega4(x.entries(), y.entries())
 
 
 def chi_t(t: int, m: UniModular) -> CircleExponent:

@@ -22,8 +22,9 @@ from .charformula import (
 from .dirichlet import divisors, enumerate_characters, evaluate
 from .exact import integer_rank
 from .farey import GeneratorSet, generators
-from .sampling import random_coprime_pair, random_gamma0, random_sl2
-from .sl2 import NEG_I, T, chi_t, omega, psi
+from .kernels import psi4
+from .sampling import random_coprime_pair, random_gamma0, random_sl2_entries
+from .sl2 import NEG_I, T, chi_t, mul4, omega4, psi
 
 SURJECTIVE_LEVELS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13)
 
@@ -211,22 +212,34 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
 
+def _check_seed(seed: int) -> None:
+    # Random(-s) seeds like Random(s), so a negative seed would report
+    # another seed's run under its own name
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def verify_prop21(trials: int, seed: int) -> dict:
-    """The composition law psi(xy) = psi(x) + psi(y) + omega(x, y) on random words."""
+    """The composition law psi(xy) = psi(x) + psi(y) + omega(x, y) on random words.
+
+    Runs on entry tuples: x and y come from ``random_sl2_entries``, xy from
+    ``mul4``, and ``psi4`` checks the determinant of all three.
+    """
     _check_trials(trials)
+    _check_seed(seed)
     rng = Random(seed)
     case_hits = {12: 0, 0: 0, -12: 0}
     for _ in range(trials):
-        x = random_sl2(rng)
-        y = random_sl2(rng)
-        w = omega(x, y)
+        x = random_sl2_entries(rng)
+        y = random_sl2_entries(rng)
+        w = omega4(x, y)
         case_hits[w] += 1
-        if psi(x * y) != psi(x) + psi(y) + w:
+        if psi4(*mul4(x, y)) != psi4(*x) + psi4(*y) + w:
             return {
                 "ok": False,
                 "trials": trials,
                 "seed": seed,
-                "counterexample": {"x": list(x.entries()), "y": list(y.entries())},
+                "counterexample": {"x": list(x), "y": list(y)},
             }
     return {
         "ok": True,
@@ -239,6 +252,7 @@ def verify_prop21(trials: int, seed: int) -> dict:
 def verify_dedekind_identity(trials: int, seed: int, cmax: int = 10**4) -> dict:
     """Bulk run of the two-level Dedekind sum identity on random (c, d)."""
     _check_trials(trials)
+    _check_seed(seed)
     rng = Random(seed)
     checked = 0
     for n in KERNEL_LEVELS:
@@ -253,6 +267,7 @@ def verify_kernel(level: int, trials: int, seed: int) -> dict:
     """Exponent-sum criterion for the kernel at a distinguished-generator level."""
     check_kernel_level(level)  # before any Farey work
     _check_trials(trials)
+    _check_seed(seed)
     rng = Random(seed)
     gens = generators(level)
     checked = 0

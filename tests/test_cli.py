@@ -278,12 +278,58 @@ def test_conjecture1_mismatch_exits_one(capsys, monkeypatch):
 def test_prop21_counterexample_exits_one(capsys, monkeypatch):
     from gamma0char import verify
 
-    monkeypatch.setattr(verify, "omega", lambda x, y: 0)
+    monkeypatch.setattr(verify, "omega4", lambda x, y: 0)
     code, out = run_cli(capsys, "verify", "prop21", "--trials", "200")
     doc = json.loads(out)
     assert code == 1 and doc["ok"] is False
     assert set(doc["counterexample"]) == {"x", "y"}
     assert all(len(doc["counterexample"][k]) == 4 for k in ("x", "y"))
+
+
+# stdout of prop21 with the omega rule patched to 0, recorded while the check
+# still ran on UniModular values and sl2.omega; the tuple path must find the
+# same first counterexample
+PINNED_COUNTEREXAMPLES = [
+    (
+        "verify prop21 --trials 200",
+        '{"counterexample": {"x": [-3, 8, 1, -3], "y": [2, 3, 3, 5]}, "ok": false,'
+        ' "seed": 0, "trials": 200}\n',
+    ),
+    (
+        "--seed 7 verify prop21 --trials 3000",
+        '{"counterexample": {"x": [-5, 4, 1, -1], "y": [-1, 1, 0, -1]}, "ok": false,'
+        ' "seed": 7, "trials": 3000}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", PINNED_COUNTEREXAMPLES, ids=[a for a, _ in PINNED_COUNTEREXAMPLES]
+)
+def test_prop21_counterexample_bytes_are_pinned(capsys, monkeypatch, argv, expected):
+    from gamma0char import verify
+
+    monkeypatch.setattr(verify, "omega4", lambda x, y: 0)
+    code, out = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--seed -7 verify prop21 --trials 3000",
+        "verify prop21 --trials 10 --seed -1",
+        "--seed -7 verify dedekind-identity --trials 5",
+        "verify kernel --level 7 --trials 5 --seed -3",
+    ],
+)
+def test_negative_seed_exits_two_with_one_line(capsys, argv):
+    # Random(-7) seeds like Random(7): the report would carry another seed's run
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: seed must be non-negative")
 
 
 def test_theorem_violation_exits_one(capsys, monkeypatch):

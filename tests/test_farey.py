@@ -4,12 +4,14 @@ import heapq
 import json
 import os
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from gamma0char import farey
+from gamma0char.charformula import KERNEL_LEVELS
 from gamma0char.dirichlet import unit_group_structure
 from gamma0char.farey import (
     EVEN,
@@ -31,7 +33,7 @@ from gamma0char.farey import (
     save_cached_generators,
 )
 from gamma0char.sampling import random_gamma0, random_sl2
-from gamma0char.sl2 import I, NEG_I, S, T, Gamma0Element, UniModular, sigma
+from gamma0char.sl2 import I, NEG_I, S, T, Gamma0Element, UniModular, mul4, pow4, sigma
 
 TABLE1_COUNTS = {
     2: (1, 1, 0),
@@ -582,6 +584,118 @@ def test_reconstruct_matches_frozen_oracle():
             assert reconstruct(word, gens) == _frozen_reconstruct(word, gens), (n, word)
     assert {("e2", 1), ("e3", 2), ("e3", -1), ("free", -40)} <= used
     assert {("free", e) for e in huge} <= used
+
+
+def _closure_walk_to_translation(mat, gens):
+    """``_walk_to_translation`` as it looked each crossing up through
+    ``side_rules`` and a per-walk closure, before the per-set side table; the
+    oracle for its raw letters."""
+    symbol = gens.symbol
+    floor = symbol.vertices[1:-1]
+    rules = gens.side_rules
+    cur = mat.entries()
+    letters = []
+    seen = set()
+
+    def crossing(side, num, den):
+        kind, idx, orient = rules[side]
+        if kind == "free":
+            g = gens.free[idx]
+            if orient > 0:
+                return g.entries(), (("free", idx), -1)
+            return pow4(g.entries(), -1), (("free", idx), 1)
+        if kind == "e2":
+            return gens.elliptic2[idx].entries(), (("e2", idx), -1)
+        g = gens.elliptic3[idx]
+        (p1, q1), (p2, q2) = symbol.vertices[side], symbol.vertices[side + 1]
+        if num * (q1 + q2) < (p1 + p2) * den:
+            return g.entries(), (("e3", idx), 2)
+        return pow4(g.entries(), -1), (("e3", idx), 1)
+
+    while cur[2] != 0:
+        a, b, c, d = cur
+        m = a // c
+        if m:
+            a, b = a - m * c, b - m * d
+            cur = (a, b, c, d)
+            letters.append((("free", 0), m))
+        num, den = (a, c) if c > 0 else (-a, -c)
+        pos = bisect_right(floor, 0, key=lambda v: v[0] * den - num * v[1]) - 1
+        u, letter = crossing(pos + 1, num, den)
+        cur = mul4(u, cur)
+        letters.append(letter)
+        state = cur if cur[2] > 0 or (cur[2] == 0 and cur[0] > 0) else tuple(-t for t in cur)
+        if state in seen:
+            raise RuntimeError("side-crossing walk entered a cycle")
+        seen.add(state)
+    a, b = cur[0], cur[1]
+    if a * b:
+        letters.append((("free", 0), a * b))
+    return letters
+
+
+def _matrix_for_reconstruct(word, gens):
+    """``reconstruct`` as it looked each letter up with ``matrix_for`` and
+    took every exponent other than 1 through ``pow4``; the oracle."""
+    m = (1, 0, 0, 1) if word.sign == 1 else (-1, 0, 0, -1)
+    for ref, exp in word.letters:
+        g = gens.matrix_for(ref).entries()
+        m = mul4(m, g if exp == 1 else pow4(g, exp))
+    return UniModular(*m)
+
+
+def _benchmark_shaped_element(rng, n):
+    """An element of Gamma0(n) built as the seeded-checks benchmark builds
+    its inputs: c = +-n*k with k <= 1000, |d| <= 10**5, a = d^-1 mod c."""
+    while True:
+        c = n * rng.randint(1, 1000) * rng.choice((1, -1))
+        d = rng.randint(-(10**5), 10**5)
+        if gcd(c, d) == 1:
+            break
+    a = pow(d, -1, c)
+    b = (a * d - 1) // c
+    t = rng.randint(-2, 2)
+    return Gamma0Element(UniModular(a + t * c, b + t * d, c, d), n)
+
+
+def _assert_walk_and_rebuild_match(gamma, gens):
+    raw = farey._walk_to_translation(gamma.matrix, gens)
+    assert raw == _closure_walk_to_translation(gamma.matrix, gens), gamma
+    for sign in (1, -1):
+        for word in (Word(sign, tuple(raw)), Word(sign, tuple(farey._normal_form(raw)))):
+            assert reconstruct(word, gens) == _matrix_for_reconstruct(word, gens), gamma
+
+
+def test_walk_and_reconstruct_match_oracles_on_benchmark_elements():
+    rng = random.Random(59)
+    for n in KERNEL_LEVELS:
+        gens = generators(n)
+        for _ in range(150):
+            _assert_walk_and_rebuild_match(_benchmark_shaped_element(rng, n), gens)
+
+
+def test_walk_and_reconstruct_match_oracles_on_generator_words():
+    rng = random.Random(61)
+    crossed = set()  # (kind, exponent) of the crossing letters met
+    for n in range(2, 61):
+        gens = generators(n)
+        for _ in range(40):
+            gamma = random_gamma0(rng, gens, letters=10)
+            _assert_walk_and_rebuild_match(gamma, gens)
+            raw = farey._walk_to_translation(gamma.matrix, gens)
+            crossed.update((ref[0], exp) for ref, exp in raw if ref != ("free", 0))
+    # both members of a free pair, even sides, and both halves of odd sides
+    assert crossed == {("free", 1), ("free", -1), ("e2", -1), ("e3", 1), ("e3", 2)}
+
+
+def test_walk_tables_are_built_on_first_use():
+    symbol = farey_symbol(13)
+    gens = farey._extract_generators(symbol)
+    assert "walk_table" not in vars(gens) and "letter_table" not in vars(gens)
+    decompose(Gamma0Element(T * gens.elliptic3[0] * gens.elliptic2[1], 13), gens)
+    assert "walk_table" in vars(gens) and "letter_table" in vars(gens)
+    # the tables are not fields: equality and the cache document ignore them
+    assert gens == farey._extract_generators(symbol)
 
 
 def test_exponent_sum_examples():

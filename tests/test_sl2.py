@@ -11,9 +11,10 @@ from math import gcd
 import pytest
 
 from gamma0char import kernels
+from gamma0char.charformula import KERNEL_LEVELS
 from gamma0char.exact import dedekind_sum, dedekind_sum_fast
 from gamma0char.farey import generators
-from gamma0char.sampling import random_sl2
+from gamma0char.sampling import random_coprime_pair, random_sl2, random_sl2_entries
 from gamma0char.sl2 import (
     I,
     NEG_I,
@@ -24,6 +25,7 @@ from gamma0char.sl2 import (
     chi_t,
     mul4,
     omega,
+    omega4,
     pow4,
     psi,
     sigma,
@@ -350,10 +352,13 @@ def test_random_sl2_draws_the_randint_stream():
     # 31, 32, 33 and 64 sit at the edges of the length draw's bit width
     for max_len in (1, 2, 3, 25, 31, 32, 33, 40, 64):
         for seed in range(300):
-            new, old = random.Random(seed), random.Random(seed)
+            new, tup, old = random.Random(seed), random.Random(seed), random.Random(seed)
             for _ in range(3):
-                assert random_sl2(new, max_len) == _randint_random_sl2(old, max_len)
-            assert new.random() == old.random(), (max_len, seed)
+                expected = _randint_random_sl2(old, max_len)
+                assert random_sl2(new, max_len) == expected
+                entries = random_sl2_entries(tup, max_len)
+                assert type(entries) is tuple and entries == expected.entries()
+            assert new.random() == tup.random() == old.random(), (max_len, seed)
     new, old = random.Random(11), random.Random(11)
     assert [random_sl2(new) for _ in range(50)] == [_randint_random_sl2(old) for _ in range(50)]
     assert new.random() == old.random()
@@ -363,6 +368,69 @@ def test_random_sl2_rejects_lengths_below_one():
     for max_len in (0, -1):
         with pytest.raises(ValueError):
             random_sl2(random.Random(0), max_len)
+        with pytest.raises(ValueError):
+            random_sl2_entries(random.Random(0), max_len)
+
+
+def _unimodular_omega(x, y):
+    """``omega`` as it read the ``UniModular`` fields before the rule moved to
+    ``omega4`` on entry tuples; the oracle."""
+    c1, d1 = x.c, x.d
+    c2 = y.c
+    c3 = c1 * y.a + d1 * c2
+    if c1 == 0 and c2 == 0 and d1 < 0 and y.d < 0:
+        return 12
+    if c1 >= 0 and c2 >= 0 and c3 < 0:
+        return 12
+    if c1 < 0 and c2 < 0 and c3 >= 0:
+        return -12
+    return 0
+
+
+def test_omega4_matches_the_unimodular_rule():
+    rng = random.Random(53)
+    corners = [I, NEG_I, S, S.inv(), T, T.inv(), -T, -T.inv()]
+    pairs = [(x, y) for x in corners for y in corners]
+    pairs += [(random_sl2(rng, rng.randint(1, 8)), random_sl2(rng)) for _ in range(3000)]
+    seen = set()
+    for x, y in pairs:
+        expected = _unimodular_omega(x, y)
+        assert omega4(x.entries(), y.entries()) == omega(x, y) == expected, (x, y)
+        seen.add(expected)
+    assert seen == {-12, 0, 12}
+
+
+def _randint_random_coprime_pair(rng, n, cmax):
+    """``random_coprime_pair`` as it drew through ``randint`` before it read
+    ``getrandbits`` directly; the oracle for its stream."""
+    while True:
+        c = n * rng.randint(1, cmax // n)
+        d = rng.randint(-3 * cmax, 3 * cmax)
+        if gcd(c, d) == 1:
+            return c, d
+
+
+def test_random_coprime_pair_draws_the_randint_stream():
+    for n in KERNEL_LEVELS:
+        for cmax in (n, n + 1, 10**4, 10**6, 10**13):
+            for seed in range(40):
+                new, old = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    pair = random_coprime_pair(new, n, cmax)
+                    assert pair == _randint_random_coprime_pair(old, n, cmax), (n, cmax, seed)
+                    c, d = pair
+                    assert c % n == 0 and 0 < c <= cmax and abs(d) <= 3 * cmax
+                assert new.random() == old.random(), (n, cmax, seed)
+
+
+def test_random_coprime_pair_at_its_edge():
+    # cmax = n leaves c = n as the only choice
+    for n in KERNEL_LEVELS:
+        rng = random.Random(n)
+        assert {random_coprime_pair(rng, n, n)[0] for _ in range(20)} == {n}
+    for n, cmax in ((5, 4), (2, 1), (0, 10), (-3, 10)):
+        with pytest.raises(ValueError, match="n <= cmax"):
+            random_coprime_pair(random.Random(0), n, cmax)
 
 
 def test_pow4_matches_repeated_products():

@@ -16,7 +16,8 @@ from gamma0char.charformula import CharacterParams, eval_character
 from gamma0char.dirichlet import divisors, enumerate_characters, evaluate
 from gamma0char.exact import CircleExponent
 from gamma0char.farey import generators
-from gamma0char.sl2 import Gamma0Element, NEG_I, psi
+from gamma0char.sampling import random_sl2
+from gamma0char.sl2 import Gamma0Element, NEG_I, omega, psi
 from gamma0char.verify import (
     SURJECTIVE_LEVELS,
     _torsion_image,
@@ -116,6 +117,57 @@ def test_prop21_report_covers_cases():
     report = verify_prop21(20000, seed=5)
     assert report["ok"] is True
     assert all(count > 0 for count in report["case_hits"].values())
+
+
+def _unimodular_verify_prop21(trials, seed, omega=omega):
+    """``verify_prop21`` as it multiplied ``UniModular`` words and called
+    ``psi`` and ``omega`` on them, before it ran on entry tuples; the oracle."""
+    rng = random.Random(seed)
+    case_hits = {12: 0, 0: 0, -12: 0}
+    for _ in range(trials):
+        x = random_sl2(rng)
+        y = random_sl2(rng)
+        w = omega(x, y)
+        case_hits[w] += 1
+        if psi(x * y) != psi(x) + psi(y) + w:
+            return {
+                "ok": False,
+                "trials": trials,
+                "seed": seed,
+                "counterexample": {"x": list(x.entries()), "y": list(y.entries())},
+            }
+    return {
+        "ok": True,
+        "trials": trials,
+        "seed": seed,
+        "case_hits": {str(k): v for k, v in case_hits.items()},
+    }
+
+
+def test_prop21_matches_the_unimodular_oracle(monkeypatch):
+    from gamma0char import verify
+
+    for seed in range(200):
+        trials = 1 + seed % 7 * 50
+        assert verify_prop21(trials, seed) == _unimodular_verify_prop21(trials, seed), seed
+    # with the rule broken, both stop at the same first counterexample
+    monkeypatch.setattr(verify, "omega4", lambda x, y: 0)
+    for seed in range(50):
+        expected = _unimodular_verify_prop21(300, seed, omega=lambda x, y: 0)
+        assert expected["ok"] is False
+        assert verify_prop21(300, seed) == expected, seed
+
+
+def test_seeded_verifiers_reject_negative_seeds():
+    # Random(-s) seeds like Random(s), so the report would carry another seed's run
+    for run in (
+        lambda seed: verify_prop21(10, seed),
+        lambda seed: verify_dedekind_identity(5, seed),
+        lambda seed: verify_kernel(7, 5, seed),
+    ):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -7$"):
+            run(-7)
+        assert run(0)["ok"] is True
 
 
 def test_dedekind_identity_report():
