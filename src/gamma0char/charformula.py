@@ -7,6 +7,12 @@ of the difference homomorphisms on the free generators; its gcd per column is
 the positive generator beta(N, l) of the image, and its rank drives the
 surjectivity analysis in ``verify``.
 
+Both run on plain integers.  ``CharacterParams`` compiles each triple once
+into integers over one modulus M, chi included as a table indexed by d mod N,
+so an evaluation is one table read and one integer sum.  Every sigma value is
+taken from unpacked entries: ``kernels.psi4`` of the matrix minus
+``sl2.psi_conjugate``, the one routine that forms the conjugate.
+
 A scan visits each level once, so ``sigma_matrix`` keeps no matrix.  What
 later levels need of it, the column gcds beta(N, l), stays in a per-process
 table of small integers that ``beta`` reads; it is the sigma layer's only memo.
@@ -20,10 +26,11 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .dirichlet import DirichletCharacter, divisors, unit_group_structure
+from .dirichlet import DirichletCharacter, _dlog_table, divisors
 from .exact import CircleExponent, as_fraction, as_int, gcd_all
 from .farey import decompose, exponent_sum, generators
-from .sl2 import Gamma0Element, UniModular, psi, psi_conjugate, sigma
+from .kernels import psi4
+from .sl2 import Gamma0Element, psi_conjugate, sigma
 
 
 class TheoremViolation(ArithmeticError):
@@ -37,17 +44,24 @@ class CharacterParams:
     ``r_l`` maps every divisor l of N with l > 1 to a rational weight; r1 is
     kept in {0, ..., 11}.  Componentwise composition of parameter triples
     matches pointwise multiplication of the induced characters.  Every value
-    is an integer over M = lcm(12, chi.value_modulus, denominators of the r_l),
-    so construction compiles the chi weights scaled to M, r1 * M / 12 and
-    (l, r_l * M) for each nonzero r_l.
+    is an integer over M = lcm(12, chi.value_modulus, denominators of the r_l).
+    With sigma_l = psi - psi_l (psi_l: psi of the l-conjugate) the formula
+    reads chi(d) + (r1/12 + sum of the r_l) * psi - sum of r_l * psi_l, so
+    construction compiles, all scaled to M:
+
+    - ``chi_table``: for each residue d mod N, the chi exponent of d (the
+      character's weights dotted with the discrete log of d) when d is a
+      unit, else None;
+    - ``psi_weight``: r1 * M / 12 plus the sum of the r_l * M;
+    - ``rl_weights``: (l, r_l * M) for each nonzero r_l.
     """
 
     chi: DirichletCharacter
     r1: int
     r_l: tuple[tuple[int, Fraction], ...]
     value_modulus: int = field(init=False, repr=False, compare=False)
-    chi_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    r1_weight: int = field(init=False, repr=False, compare=False)
+    chi_table: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    psi_weight: int = field(init=False, repr=False, compare=False)
     rl_weights: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -58,15 +72,28 @@ class CharacterParams:
         r1 = as_int(self.r1) % 12
         r_l = tuple((l, as_fraction(r)) for l, r in self.r_l)
         big = math.lcm(12, self.chi.value_modulus, *(r.denominator for _, r in r_l))
+        scale = big // self.chi.value_modulus
+        weights = [w * scale for w in self.chi.weights]
+        logs = map(_dlog_table(n).get, range(n))
+        rl = tuple((l, r.numerator * (big // r.denominator)) for l, r in r_l if r)
+        table = tuple(None if e is None else sum(map(mul, weights, e)) for e in logs)
         put = object.__setattr__
         put(self, "r1", r1)
         put(self, "r_l", r_l)
         put(self, "value_modulus", big)
-        scale = big // self.chi.value_modulus
-        put(self, "chi_weights", tuple(w * scale for w in self.chi.weights))
-        put(self, "r1_weight", r1 * (big // 12))
-        rl = tuple((l, r.numerator * (big // r.denominator)) for l, r in r_l if r)
+        put(self, "chi_table", table)
+        put(self, "psi_weight", r1 * (big // 12) + sum(w for _, w in rl))
         put(self, "rl_weights", rl)
+
+    def chi_exponent(self, d: int) -> int:
+        """chi(d) as an integer over M, read from ``chi_table``; d must be a
+        unit modulo N (ValueError otherwise, as ``UnitGroupStructure.dlog``)."""
+        n = self.chi.modulus
+        d %= n
+        value = self.chi_table[d]
+        if value is None:
+            raise ValueError(f"{d} is not a unit modulo {n}")
+        return value
 
     @classmethod
     def from_map(cls, chi: DirichletCharacter, r1: int, r_l: dict) -> "CharacterParams":
@@ -87,16 +114,18 @@ def eval_character(params: CharacterParams, gamma: Gamma0Element) -> CircleExpon
 
     exponent(chi(d)) + r1 * psi(gamma) / 12 + sum over l of r_l * sigma_l(gamma),
     all mod 1: one integer sum over the modulus M of ``params``, reduced once.
+    chi(d) is one read of the compiled table.  The entries are unpacked once;
+    psi(gamma) comes from ``kernels.psi4`` and enters once, with the compiled
+    ``psi_weight``, and psi of each l-conjugate from ``psi_conjugate``.
     """
     n = params.chi.modulus
     if gamma.level != n:
         raise ValueError(f"level {gamma.level} does not match modulus {n}")
     m = gamma.matrix
-    psi_m = psi(m)
-    dlog = unit_group_structure(n).dlog(m.d)
-    total = sum(map(mul, params.chi_weights, dlog)) + params.r1_weight * psi_m
+    a, b, c, d = m.a, m.b, m.c, m.d
+    total = params.chi_exponent(d) + params.psi_weight * psi4(a, b, c, d)
     for l, w in params.rl_weights:
-        total += w * (psi_m - psi_conjugate(m, l))
+        total -= w * psi_conjugate(a, b, c, d, l)
     return CircleExponent.from_residue(total, params.value_modulus)
 
 
@@ -134,8 +163,9 @@ def sigma_matrix(n: int) -> SigmaMatrix:
     cols = tuple(l for l in divisors(n) if l > 1)
     rows = []
     for g in generators(n).free:
-        psi_g = psi(g)
-        rows.append(tuple(psi_g - psi_conjugate(g, l) for l in cols))
+        a, b, c, d = g.a, g.b, g.c, g.d
+        psi_g = psi4(a, b, c, d)
+        rows.append(tuple([psi_g - psi_conjugate(a, b, c, d, l) for l in cols]))
     _beta_table[n] = dict(zip(cols, map(gcd_all, zip(*rows))))
     return SigmaMatrix(n, cols, tuple(rows))
 
@@ -211,7 +241,8 @@ def dedekind_identity_quotient(n: int, c: int, d: int) -> int:
     ((a+d)/c - 12 s(d,c)) - ((a+d)/(c/N) - 12 s(d, c/N)) is an integer
     multiple of N - 1; the multiplier is returned.  The quantity is
     sigma_N(gamma) for gamma = (a, (ad-1)/c; c, d), of determinant 1 by
-    construction; a failure of divisibility raises TheoremViolation.
+    construction (``psi4`` checks it), read from its entries without
+    building a matrix; a failure of divisibility raises TheoremViolation.
     """
     check_kernel_level(n)
     if c <= 0 or c % n != 0:
@@ -219,8 +250,8 @@ def dedekind_identity_quotient(n: int, c: int, d: int) -> int:
     if math.gcd(c, d) != 1:
         raise ValueError(f"c and d must be coprime, got ({c}, {d})")
     a = pow(d, -1, c)
-    gamma = UniModular(a, (a * d - 1) // c, c, d)
-    value = psi(gamma) - psi_conjugate(gamma, n)
+    b = (a * d - 1) // c
+    value = psi4(a, b, c, d) - psi_conjugate(a, b, c, d, n)
     if value % (n - 1) != 0:
         raise TheoremViolation(
             f"quotient {value} not divisible by {n - 1} at (n, c, d) = ({n}, {c}, {d})"

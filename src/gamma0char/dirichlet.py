@@ -2,10 +2,15 @@
 
 The unit group (Z/NZ)^x is decomposed into cyclic factors by the Chinese
 remainder theorem: the smallest primitive root for each odd prime power, and
-the pair {-1, 5} for powers of two above 4.  Discrete logarithms are computed
-by a brute-force table, memoized per modulus; levels in this package are desk
-scale so this is never the bottleneck.  Each character is compiled once into
+the pair {-1, 5} for powers of two above 4.  Discrete logarithms come from
+one table per modulus, filled by walking every exponent vector of the
+factors (phi(N) entries) and memoized.  Each character is compiled once into
 integer weights over m, the lcm of the factor orders, and evaluates as k/m.
+
+``evaluate`` reads the table on every call, which suits one-off values over
+many characters.  The character formula's hot loop does not call it:
+``charformula.CharacterParams`` compiles its character's value at every
+residue d mod N once per parameter triple, so an evaluation is one read.
 """
 
 from __future__ import annotations

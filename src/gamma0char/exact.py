@@ -135,7 +135,7 @@ def as_int(x) -> int:
     raise ValueError(f"{x!r} is not an integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CircleExponent:
     """A point of the unit circle stored as its rational exponent mod 1.
 
@@ -143,6 +143,8 @@ class CircleExponent:
     num/den with 0 <= num < den; ``from_residue(x, m)`` builds x/m, and the group
     law (addition mod 1) is integer cross-multiplication through it.  Equal
     values have equal pairs; ``value`` returns the exponent as a Fraction.
+    Frozen and slotted like ``sl2.UniModular``: both constructors store the
+    pair through the slot descriptors.
     """
 
     num: int
@@ -150,16 +152,18 @@ class CircleExponent:
 
     def __init__(self, value) -> None:
         q = as_fraction(value)
-        object.__setattr__(self, "num", q.numerator % q.denominator)
-        object.__setattr__(self, "den", q.denominator)
+        _set_num(self, q.numerator % q.denominator)
+        _set_den(self, q.denominator)
 
     @classmethod
     def from_residue(cls, x: int, m: int) -> "CircleExponent":
-        """exp(2*pi*i*x/m) for integers x and m > 0."""
+        """exp(2*pi*i*x/m) for integers x and m >= 1; ValueError for m < 1."""
+        if m < 1:
+            raise ValueError(f"modulus must be positive, got {m}")
         g = math.gcd(x, m)
         self = object.__new__(cls)
-        object.__setattr__(self, "num", x % m // g)
-        object.__setattr__(self, "den", m // g)
+        _set_num(self, x % m // g)
+        _set_den(self, m // g)
         return self
 
     @property
@@ -184,3 +188,6 @@ class CircleExponent:
     @classmethod
     def zero(cls) -> "CircleExponent":
         return cls.from_residue(0, 1)
+
+
+_set_num, _set_den = (CircleExponent.__dict__[f].__set__ for f in ("num", "den"))

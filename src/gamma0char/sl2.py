@@ -6,6 +6,8 @@ circle-valued characters of SL2(Z), and ``sigma`` the level-lowering
 difference homomorphisms on Gamma0(N).  ``mul4``, ``pow4`` and ``omega4``
 work on plain entry tuples (a, b, c, d); the seeded composition-law check
 runs on them and on ``kernels.psi4`` without building a ``UniModular``.
+``psi_conjugate`` takes the entries unpacked, so every sigma value is read
+from a matrix's four entries once.
 """
 
 from __future__ import annotations
@@ -155,13 +157,16 @@ def chi_t(t: int, m: UniModular) -> CircleExponent:
     return CircleExponent.from_residue(t * psi(m), 12)
 
 
-def psi_conjugate(m: UniModular, l: int) -> int:
-    """psi of the conjugate (a, b*l, c/l, d) of m = (a, b, c, d).
+def psi_conjugate(a: int, b: int, c: int, d: int, l: int) -> int:
+    """psi of the conjugate (a, b*l, c/l, d) of the matrix (a, b; c, d).
 
-    sigma_l(m) = psi(m) - psi_conjugate(m, l); callers evaluate psi(m) once
-    per matrix.  Caller guarantees that l is positive and divides c.
+    The package's one place that forms this conjugate.  It takes the entries
+    unpacked, so callers read a matrix once and evaluate psi of it once with
+    ``kernels.psi4``: sigma_l = psi4(a, b, c, d) - psi_conjugate(a, b, c, d, l).
+    Caller guarantees that l is positive and divides c; ``psi4`` still checks
+    the determinant.
     """
-    return kernels.psi4(m.a, m.b * l, m.c // l, m.d)
+    return kernels.psi4(a, b * l, c // l, d)
 
 
 def sigma(gamma: Gamma0Element, l: int) -> int:
@@ -173,4 +178,5 @@ def sigma(gamma: Gamma0Element, l: int) -> int:
     if l < 1 or gamma.level % l != 0:
         raise ValueError(f"{l} does not divide the level {gamma.level}")
     m = gamma.matrix
-    return psi(m) - psi_conjugate(m, l)
+    a, b, c, d = m.a, m.b, m.c, m.d
+    return kernels.psi4(a, b, c, d) - psi_conjugate(a, b, c, d, l)

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -20,7 +21,7 @@ from gamma0char.dirichlet import divisors, enumerate_characters, unit_group_stru
 from gamma0char.exact import dedekind_sum, gcd_all
 from gamma0char.farey import generators
 from gamma0char.sampling import random_gamma0
-from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, psi, psi_conjugate, sigma
+from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, psi, sigma
 
 
 def _params(n, chi_index=0, r1=0, **weights):
@@ -42,13 +43,18 @@ def _oracle_evaluate(chi, d):
 
 
 def _oracle_eval_character(params, gamma):
-    """The character formula summed in Fractions mod 1: the former library code."""
+    """The character formula summed in Fractions mod 1: the former library code.
+
+    It forms each conjugate (a, b*l, c/l, d) itself, as a checked matrix,
+    rather than through ``sl2.psi_conjugate``, the routine under test.
+    """
     m = gamma.matrix
+    a, b, c, d = m.entries()
     psi_m = psi(m)
-    total = _oracle_evaluate(params.chi, m.d) + Fraction(params.r1 * psi_m, 12)
+    total = _oracle_evaluate(params.chi, d) + Fraction(params.r1 * psi_m, 12)
     for l, r in params.r_l:
         if r:
-            total += r * (psi_m - psi_conjugate(m, l))
+            total += r * (psi_m - psi(UniModular(a, b * l, c // l, d)))
     return total % 1
 
 
@@ -86,6 +92,36 @@ def test_eval_character_matches_fraction_oracle():
                     params, gamma
                 )
     assert widest >= 30
+
+
+def _value_error(fn, *args):
+    """The message of the ValueError that fn(*args) raises; None if it returns."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_chi_table_matches_the_dlog_dot_product():
+    for n in (*range(1, 61), 210, 840):
+        structure = unit_group_structure(n)
+        # weights over 5 make M a proper multiple of the character's modulus
+        r_l = {l: Fraction(1, 5) for l in divisors(n) if l > 1}
+        for chi in enumerate_characters(n):
+            params = CharacterParams.from_map(chi, 1, r_l)
+            scale = params.value_modulus // chi.value_modulus
+            assert len(params.chi_table) == n
+            for d in range(n):
+                if math.gcd(d, n) == 1:
+                    expected = scale * sum(map(mul, chi.weights, structure.dlog(d)))
+                    assert params.chi_exponent(d) == params.chi_exponent(d - 3 * n) == expected
+                else:
+                    assert params.chi_table[d] is None
+                    message = _value_error(structure.dlog, d)
+                    assert message == f"{d} is not a unit modulo {n}"
+                    assert _value_error(params.chi_exponent, d) == message
+                    assert _value_error(params.chi_exponent, d + 2 * n) == message
 
 
 def test_eval_character_trivial_params():

@@ -150,6 +150,12 @@ def test_circle_exponent_reduction_is_canonical():
     for bad in (0.1, 0.5, "1/2", None):
         with pytest.raises(ValueError):
             CircleExponent(bad)
+    # a modulus below 1 is rejected: m = -2 would give the pair -1/-2, unequal
+    # to 1/2 with the same value, and m = 0 would divide by zero
+    with pytest.raises(ValueError, match=r"^modulus must be positive, got -2$"):
+        CircleExponent.from_residue(1, -2)
+    with pytest.raises(ValueError, match=r"^modulus must be positive, got 0$"):
+        CircleExponent.from_residue(3, 0)
 
 
 def test_circle_exponent_matches_fraction_arithmetic():

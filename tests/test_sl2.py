@@ -12,7 +12,7 @@ import pytest
 
 from gamma0char import kernels
 from gamma0char.charformula import KERNEL_LEVELS
-from gamma0char.exact import dedekind_sum, dedekind_sum_fast
+from gamma0char.exact import CircleExponent, dedekind_sum, dedekind_sum_fast
 from gamma0char.farey import generators
 from gamma0char.sampling import random_coprime_pair, random_sl2, random_sl2_entries
 from gamma0char.sl2 import (
@@ -41,19 +41,31 @@ def test_unimodular_validation():
 
 def test_value_type_contract():
     gamma = Gamma0Element(T, 3)
+    half = CircleExponent.from_residue(1, 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         T.a = 2
     with pytest.raises(dataclasses.FrozenInstanceError):
         gamma.level = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        half.num = 0
+    for value in (T, gamma, half):
+        assert not hasattr(value, "__dict__")
     assert repr(T) == "UniModular(a=1, b=1, c=0, d=1)"
     assert repr(gamma) == "Gamma0Element(matrix=UniModular(a=1, b=1, c=0, d=1), level=3)"
+    assert repr(half) == "CircleExponent(num=1, den=2)" and str(half) == "1/2"
+    # the two constructors give equal, equally hashed values
+    twins = (CircleExponent(Fraction(1, 2)), CircleExponent(Fraction(-7, 2)))
+    for twin in (*twins, CircleExponent.from_residue(-5, 10)):
+        assert twin == half and hash(twin) == hash(half) and twin is not half
+    assert half.value == Fraction(1, 2)
+    assert half != CircleExponent.from_residue(1, 3) and half != (1, 2)
     assert str(T) == "(1,1;0,1)"
     twin = UniModular(1, 1, 0, 1)
     assert twin == T and hash(twin) == hash(T) and twin is not T
     assert Gamma0Element(twin, 3) == gamma and hash(Gamma0Element(twin, 3)) == hash(gamma)
     assert UniModular(a=1, b=1, c=0, d=1) == T and Gamma0Element(matrix=T, level=3) == gamma
     assert T != (1, 1, 0, 1) and T != UniModular(1, 2, 0, 1) and gamma != Gamma0Element(T, 6)
-    for value in (T, gamma):
+    for value in (T, gamma, half):
         for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert copied == value and type(copied) is type(value) and repr(copied) == repr(value)
     with pytest.raises(ValueError, match=r"^determinant is not 1: \(1, 0, 0, 2\)$"):

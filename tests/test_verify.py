@@ -1,5 +1,6 @@
 """Verdicts and reports from the batch verifiers."""
 
+import math
 import os
 import random
 import subprocess
@@ -15,10 +16,11 @@ from gamma0char import farey
 from gamma0char.charformula import CharacterParams, eval_character
 from gamma0char.dirichlet import divisors, enumerate_characters, evaluate
 from gamma0char.exact import CircleExponent
-from gamma0char.farey import generators
+from gamma0char.farey import closed_form_counts, generators, index_gamma0
 from gamma0char.sampling import random_sl2
 from gamma0char.sl2 import Gamma0Element, NEG_I, omega, psi
 from gamma0char.verify import (
+    BETA_BY_RESIDUE,
     SURJECTIVE_LEVELS,
     _torsion_image,
     predicted_beta,
@@ -80,6 +82,43 @@ def test_predicted_beta_rules():
     assert predicted_beta(49) == 24
     assert predicted_beta(73) == 12  # residue 1, not a square
     assert predicted_beta(24) == 1  # residue 24 row
+
+
+def _g(n):
+    """gcd(N - 1, 12), or gcd(N - 1, 24) when N is a perfect square."""
+    return math.gcd(n - 1, 24 if math.isqrt(n) ** 2 == n else 12)
+
+
+def test_beta_table_is_the_gcd_rule():
+    # both sides depend on N only through N mod 24, so one N per residue
+    # class and branch decides; the paper's table stays what verifiers print
+    squares = {k * k % 24 for k in range(24)}
+    for r in range(1, 25):
+        values = BETA_BY_RESIDUE[r]
+        assert len(values) == (2 if r in (1, 9) else 1), r
+        assert values[0] == math.gcd(r - 1, 12), r  # non-square N
+        if r % 24 in squares:
+            assert values[-1] == math.gcd(r - 1, 24), r  # square N
+    for n in range(2, 20_001):
+        assert predicted_beta(n) == _g(n), n
+
+
+def test_count_bound_of_the_classification():
+    # r <= d(N) - 1 = t - 1, needed for a full-rank sigma matrix, holds below
+    # 676 exactly at the surjective levels
+    small = [n for n in range(2, 676) if closed_form_counts(n)[0] <= len(divisors(n)) - 1]
+    assert small == [2, 3, 4, 5, 6, 7, 8, 10, 12, 13] == list(SURJECTIVE_LEVELS[1:])
+    # index >= N + 1 and e2, e3 <= d(N) give 6r >= N + 7 - 7 d(N), so
+    # r > d(N) - 1 once N + 13 > 13 d(N); with d(N) <= 2 sqrt(N) that follows
+    # from 26 sqrt(N) <= N, that is 676 N <= N^2, true from N = 676 on
+    assert 676 * 676 <= 676**2 and not 676 * 675 <= 675**2
+    for n in range(2, 3000):
+        r, e2, e3 = closed_form_counts(n)
+        t = len(divisors(n))
+        assert index_gamma0(n) >= n + 1 and max(e2, e3) <= t and t * t <= 4 * n
+        assert 6 * r >= n + 7 - 7 * t
+        if n >= 676:
+            assert n + 13 > 13 * t and r > t - 1, n
 
 
 def test_conjecture1_report():
