@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .dirichlet import DirichletCharacter, _dlog_table, divisors
+from .dirichlet import DirichletCharacter, divisors, unit_group_structure
 from .exact import CircleExponent, as_fraction, as_int, gcd_all
 from .farey import decompose, exponent_sum, generators
 from .kernels import psi4
@@ -74,7 +74,7 @@ class CharacterParams:
         big = math.lcm(12, self.chi.value_modulus, *(r.denominator for _, r in r_l))
         scale = big // self.chi.value_modulus
         weights = [w * scale for w in self.chi.weights]
-        logs = map(_dlog_table(n).get, range(n))
+        logs = map(unit_group_structure(n).logs.get, range(n))
         rl = tuple((l, r.numerator * (big // r.denominator)) for l, r in r_l if r)
         table = tuple(None if e is None else sum(map(mul, weights, e)) for e in logs)
         put = object.__setattr__

@@ -44,6 +44,13 @@ from .farey import generator_set_to_json, generators, set_default_cache_dir
 from .sl2 import Gamma0Element, UniModular, psi, sigma
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 2 with one ``error:`` line; subparsers share the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _parse_matrix(text: str) -> UniModular:
     parts = text.split(",")
     if len(parts) != 4:
@@ -141,7 +148,7 @@ def _rank(args: argparse.Namespace) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gamma0char",
         description="Exact computations around unitary characters of Gamma0(N)",
     )

@@ -3,9 +3,9 @@
 The unit group (Z/NZ)^x is decomposed into cyclic factors by the Chinese
 remainder theorem: the smallest primitive root for each odd prime power, and
 the pair {-1, 5} for powers of two above 4.  Discrete logarithms come from
-one table per modulus, filled by walking every exponent vector of the
-factors (phi(N) entries) and memoized.  Each character is compiled once into
-integer weights over m, the lcm of the factor orders, and evaluates as k/m.
+one table per modulus, ``UnitGroupStructure.logs``, filled on first use by
+walking every exponent vector of the factors (phi(N) entries).  Each character
+is compiled once into integer weights over m, the lcm of the factor orders.
 
 ``evaluate`` reads the table on every call, which suits one-off values over
 many characters.  The character formula's hot loop does not call it:
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul
 
 from .exact import CircleExponent, as_int
@@ -79,18 +79,35 @@ def _crt_lift(residue: int, q: int, n: int) -> int:
 class UnitGroupStructure:
     """Cyclic decomposition of (Z/NZ)^x: generators with their orders.
 
-    The product of the orders is phi(N) and every unit has a unique exponent
-    vector against the factors, available through ``dlog``.
+    The product of the orders is phi(N); ``logs``, built on first use, maps
+    each unit in [0, N) to its unique exponent vector, which ``dlog`` reads.
     """
 
     modulus: int
     factors: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def logs(self) -> dict[int, tuple[int, ...]]:
+        table: dict[int, tuple[int, ...]] = {}
+
+        def fill(i: int, value: int, exps: tuple[int, ...]) -> None:
+            if i == len(self.factors):
+                table[value] = exps
+                return
+            gen, order = self.factors[i]
+            current = value
+            for k in range(order):
+                fill(i + 1, current, exps + (k,))
+                current = current * gen % self.modulus
+        fill(0, 1 % self.modulus, ())
+        return table
+
     def dlog(self, d: int) -> tuple[int, ...]:
         d %= self.modulus
-        if math.gcd(d, self.modulus) != 1:
-            raise ValueError(f"{d} is not a unit modulo {self.modulus}")
-        return _dlog_table(self.modulus)[d]
+        try:
+            return self.logs[d]
+        except KeyError:
+            raise ValueError(f"{d} is not a unit modulo {self.modulus}") from None
 
 
 @lru_cache(maxsize=None)
@@ -113,24 +130,6 @@ def unit_group_structure(n: int) -> UnitGroupStructure:
             g = _smallest_primitive_root(q, phi)
             factors.append((_crt_lift(g, q, n), phi))
     return UnitGroupStructure(n, tuple(factors))
-
-
-@lru_cache(maxsize=None)
-def _dlog_table(n: int) -> dict[int, tuple[int, ...]]:
-    structure = unit_group_structure(n)
-    table: dict[int, tuple[int, ...]] = {}
-
-    def fill(i: int, value: int, exps: tuple[int, ...]) -> None:
-        if i == len(structure.factors):
-            table[value] = exps
-            return
-        gen, order = structure.factors[i]
-        current = value
-        for k in range(order):
-            fill(i + 1, current, exps + (k,))
-            current = current * gen % n
-    fill(0, 1 % n, ())
-    return table
 
 
 @dataclass(frozen=True)

@@ -216,10 +216,6 @@ def farey_symbol(n: int) -> FareySymbol:
     return FareySymbol(n, tuple(verts), tuple(pairings))
 
 
-# the GeneratorSet field holding the generators a ref's kind names
-_KIND_FIELD = {"free": "free", "e2": "elliptic2", "e3": "elliptic3"}
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
     """Independent generators of Gamma0(N) classified by order.
@@ -254,10 +250,6 @@ class GeneratorSet:
         refs += [(("e2", i), g) for i, g in enumerate(self.elliptic2)]
         refs += [(("e3", i), g) for i, g in enumerate(self.elliptic3)]
         return refs
-
-    def matrix_for(self, ref: tuple[str, int]) -> UniModular:
-        kind, idx = ref
-        return getattr(self, _KIND_FIELD[kind])[idx]
 
     @cached_property
     def letter_table(self) -> dict[tuple[str, int], tuple[Entries, Entries]]:

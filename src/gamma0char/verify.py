@@ -12,19 +12,21 @@ from random import Random
 
 from .charformula import (
     KERNEL_LEVELS,
+    CharacterParams,
     TheoremViolation,
     beta,
     check_kernel_level,
     dedekind_identity_quotient,
+    eval_character,
     kernel_exponent_check,
     sigma_matrix,
 )
-from .dirichlet import divisors, enumerate_characters, evaluate
-from .exact import integer_rank
+from .dirichlet import divisors, enumerate_characters
+from .exact import CircleExponent, integer_rank
 from .farey import GeneratorSet, generators
 from .kernels import psi4
 from .sampling import random_coprime_pair, random_gamma0, random_sl2_entries
-from .sl2 import NEG_I, T, chi_t, mul4, omega4, psi
+from .sl2 import NEG_I, T, Gamma0Element, chi_t, mul4, omega4
 
 SURJECTIVE_LEVELS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13)
 
@@ -67,28 +69,27 @@ def predicted_beta(n: int) -> int:
     return values[1] if math.isqrt(n) ** 2 == n else values[0]
 
 
-def _torsion_image(n: int, gens: GeneratorSet) -> set[tuple[int, ...]]:
+def _torsion_image(n: int, gens: GeneratorSet) -> set[tuple[CircleExponent, ...]]:
     """Values at (-I, each elliptic generator) over every (chi, r1) pair.
 
-    Values are integer residues over M = lcm(12, value modulus at level n).
+    Each value is ``eval_character`` of the triple (chi, r1, every r_l zero),
+    so the image is read off the formula whose surjectivity it certifies.
     Every tuple must lie in the target group: an elliptic generator h of order
-    2 or 3 satisfies h**order = -I, so its value x has order * x == value(-I)
-    mod M.  A tuple outside it raises TheoremViolation.
+    2 or 3 satisfies h**order = -I, so its value x has order * x == value(-I).
+    A tuple outside it raises TheoremViolation.
     """
     elliptic = [(h, 2) for h in gens.elliptic2] + [(h, 3) for h in gens.elliptic3]
-    points = [NEG_I] + [h for h, _ in elliptic]
-    chars = enumerate_characters(n)
-    big = math.lcm(12, chars[0].value_modulus)
-    psi_values = [psi(m) * (big // 12) for m in points]
+    points = [Gamma0Element(m, n) for m in (NEG_I, *(h for h, _ in elliptic))]
+    no_weights = {l: 0 for l in divisors(n)[1:]}
     image = set()
-    for chi in chars:
-        chi_values = [v.num * (big // v.den) for v in (evaluate(chi, m.d) for m in points)]
+    for chi in enumerate_characters(n):
         for r1 in range(12):
-            minus, *values = [(c + r1 * p) % big for c, p in zip(chi_values, psi_values)]
+            params = CharacterParams.from_map(chi, r1, no_weights)
+            minus, *values = [eval_character(params, g) for g in points]
             for (h, order), x in zip(elliptic, values):
-                if (order * x - minus) % big:
+                if x * order != minus:
                     raise TheoremViolation(
-                        f"value {x}/{big} at {h} breaks {order}x = {minus}/{big} mod 1"
+                        f"value {x} at {h} breaks {order}x = {minus} mod 1"
                         f" (chi {chi.id()}, r1 {r1})"
                     )
             image.add((minus, *values))

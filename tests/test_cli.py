@@ -205,21 +205,29 @@ def test_plain_output(capsys):
     assert out.strip() == "psi=1"
 
 
+def _assert_usage_error(capsys, argv):
+    """argv exits 2 with nothing on stdout and one ``error:`` line on stderr."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "", argv
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["psi"])  # missing --matrix
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["generators", "--level", "5", "--json"])  # JSON is the default output
-    assert info.value.code == 2
+    _assert_usage_error(capsys, ["psi"])  # missing --matrix
+    # JSON is the default output
+    _assert_usage_error(capsys, ["generators", "--level", "5", "--json"])
+    _assert_usage_error(capsys, ["no-such-command"])
+    _assert_usage_error(capsys, ["verify", "no-such-check"])
 
 
 def test_invalid_matrix_exit_code(capsys):
     # determinant != 1, three entries, an entry that is not an integer
-    for matrix in ("1,2,3,4", "1,2,3", "a,1,0,1"):
-        with pytest.raises(SystemExit) as info:
-            main(["psi", "--matrix", matrix])
-        assert info.value.code == 2, matrix
+    for matrix in ("1,2,3,4", "1,2,3", "a,1,0,1", "1,0,0,2"):
+        _assert_usage_error(capsys, ["psi", "--matrix", matrix])
 
 
 def test_bad_input_exits_two_with_one_line(capsys, tmp_path):

@@ -547,7 +547,7 @@ def _frozen_reconstruct(word, gens):
     intermediate determinant) before it folded entry tuples; the oracle."""
     m = I if word.sign == 1 else NEG_I
     for ref, exp in word.letters:
-        base = gens.matrix_for(ref)
+        base = dict(gens.all_generators())[ref]
         if exp < 0:
             base, exp = UniModular(base.d, -base.b, -base.c, base.a), -exp
         power = I
@@ -571,7 +571,7 @@ def test_reconstruct_matches_frozen_oracle():
             letters = []
             for _ in range(rng.randint(0, 12)):
                 ref = rng.choice(refs)
-                g = gens.matrix_for(ref)
+                g = dict(gens.all_generators())[ref]
                 if ref[0] != "free":
                     exp = rng.choice((1, 2, -1))
                 elif abs(g.a + g.d) == 2:  # parabolic: entries grow linearly
@@ -635,11 +635,12 @@ def _closure_walk_to_translation(mat, gens):
 
 
 def _matrix_for_reconstruct(word, gens):
-    """``reconstruct`` as it looked each letter up with ``matrix_for`` and
+    """``reconstruct`` as it looked each letter up with the former
+    ``GeneratorSet.matrix_for`` (here its ``all_generators`` equivalent) and
     took every exponent other than 1 through ``pow4``; the oracle."""
     m = (1, 0, 0, 1) if word.sign == 1 else (-1, 0, 0, -1)
     for ref, exp in word.letters:
-        g = gens.matrix_for(ref).entries()
+        g = dict(gens.all_generators())[ref].entries()
         m = mul4(m, g if exp == 1 else pow4(g, exp))
     return UniModular(*m)
 

@@ -6,7 +6,7 @@ are as reproducible as the seeded ones; no example database is kept.
 
 import tempfile
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from random import Random
 
 from hypothesis import assume, given, settings
@@ -24,7 +24,7 @@ from gamma0char.farey import (
 )
 from gamma0char.kernels import psi4
 from gamma0char.sampling import random_sl2
-from gamma0char.sl2 import I, NEG_I, Gamma0Element, UniModular, omega, psi
+from gamma0char.sl2 import I, NEG_I, Gamma0Element, UniModular, omega, psi, sigma
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -158,6 +158,29 @@ def test_psi4_matches_four_case_formula_on_naive_sums(m):
     else:
         expected = b if a > 0 else -b - 6
     assert psi4(a, b, c, d) == expected
+
+
+@st.composite
+def top_level_elements(draw):
+    """A level l and an element of Gamma0(l) with |c| up to about 10^12."""
+    l = draw(st.integers(2, 1000))
+    c = l * draw(st.integers(1, 10**9)) * draw(st.sampled_from((1, -1)))
+    d = draw(st.integers(-(10**12), 10**12))
+    assume(gcd(c, d) == 1)
+    a = pow(d, -1, abs(c))
+    return Gamma0Element(UniModular(a, (a * d - 1) // c, c, d), l)
+
+
+@PROPERTY
+@given(top_level_elements())
+def test_sigma_at_the_level_is_divisible_by_the_gcd_rule(gamma):
+    # g(l) = gcd(l - 1, 12), or gcd(l - 1, 24) for square l, is
+    # predicted_beta(l) (test_beta_table_is_the_gcd_rule), which equals
+    # beta(l, l), the gcd of sigma_l over Gamma0(l), so it divides sigma_l at
+    # entries far beyond those of the generators
+    l = gamma.level
+    g = gcd(l - 1, 24 if isqrt(l) ** 2 == l else 12)
+    assert sigma(gamma, l) % g == 0
 
 
 @PROPERTY

@@ -12,6 +12,7 @@ import pytest
 
 from gamma0char import kernels
 from gamma0char.charformula import KERNEL_LEVELS
+from gamma0char.dirichlet import divisors
 from gamma0char.exact import CircleExponent, dedekind_sum, dedekind_sum_fast
 from gamma0char.farey import generators
 from gamma0char.sampling import random_coprime_pair, random_sl2, random_sl2_entries
@@ -158,6 +159,25 @@ def test_sigma_examples():
 def test_sigma_domain_error():
     with pytest.raises(ValueError):
         sigma(Gamma0Element(T, 6), 4)
+
+
+def test_sigma_on_cusp_parabolics_closed_form():
+    # P_c = (1 - c*w, w; -c^2*w, 1 + c*w) with w = N / gcd(N, c^2) is the
+    # parabolic element of Gamma0(N) fixing the cusp 1/c, for each c | N;
+    # sigma_l(P_c) = w * (l - gcd(c, l)^2) / l for every l | N
+    checked = 0
+    for n in range(2, 1001):
+        divs = divisors(n)
+        for c in divs:
+            w = n // gcd(n, c * c)
+            p = (1 - c * w, w, -c * c * w, 1 + c * w)
+            assert p[0] * p[3] - p[1] * p[2] == 1 and p[2] % n == 0, (n, c)
+            gamma = Gamma0Element(UniModular(*p), n)
+            for l in divs:
+                g = gcd(c, l)
+                assert sigma(gamma, l) * l == w * (l - g * g), (n, c, l)
+                checked += 1
+    assert checked == 75_082
 
 
 def _random_gamma0_matrix(rng, gens):

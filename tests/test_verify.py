@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from gamma0char import farey
+from gamma0char import verify as verify_mod
 
-from gamma0char.charformula import CharacterParams, eval_character
+from gamma0char.charformula import CharacterParams, TheoremViolation, eval_character
 from gamma0char.dirichlet import divisors, enumerate_characters, evaluate
 from gamma0char.exact import CircleExponent
 from gamma0char.farey import closed_form_counts, generators, index_gamma0
@@ -72,6 +73,44 @@ def test_torsion_image_size():
         gens = generators(n)
         _, e2, e3 = gens.counts()
         assert len(_torsion_image(n, gens)) == 2 ** (e2 + 1) * 3**e3
+
+
+def _frozen_torsion_image(n, gens):
+    """``_torsion_image`` as it computed chi(d) + r1 * psi / 12 itself, as
+    integer residues over M = lcm(12, value modulus), through ``evaluate`` and
+    ``psi``; the oracle, each residue x read as the circle value x/M."""
+    elliptic = [(h, 2) for h in gens.elliptic2] + [(h, 3) for h in gens.elliptic3]
+    points = [NEG_I] + [h for h, _ in elliptic]
+    chars = enumerate_characters(n)
+    big = math.lcm(12, chars[0].value_modulus)
+    psi_values = [psi(m) * (big // 12) for m in points]
+    image = set()
+    for chi in chars:
+        chi_values = [v.num * (big // v.den) for v in (evaluate(chi, m.d) for m in points)]
+        for r1 in range(12):
+            minus, *values = [(c + r1 * p) % big for c, p in zip(chi_values, psi_values)]
+            for (h, order), x in zip(elliptic, values):
+                assert (order * x - minus) % big == 0
+            image.add((minus, *values))
+    return {tuple(CircleExponent.from_residue(x, big) for x in t) for t in image}
+
+
+def test_torsion_image_matches_frozen_oracle():
+    for n in SURJECTIVE_LEVELS[1:] + (65, 85, 91):
+        gens = generators(n)
+        assert _torsion_image(n, gens) == _frozen_torsion_image(n, gens), n
+
+
+def test_torsion_image_rejects_values_outside_the_target_group(monkeypatch):
+    # a value at an elliptic generator shifted by 1/7 breaks order * x == value(-I)
+    def shifted(params, gamma):
+        value = eval_character(params, gamma)
+        return value if gamma.matrix == NEG_I else value + CircleExponent(Fraction(1, 7))
+
+    monkeypatch.setattr(verify_mod, "eval_character", shifted)
+    for n in (2, 3, 13):
+        with pytest.raises(TheoremViolation, match="breaks"):
+            _torsion_image(n, generators(n))
 
 
 def test_predicted_beta_rules():
@@ -257,7 +296,7 @@ def test_run_paths_never_import_numpy():
     script = """
 import sys
 from fractions import Fraction
-from gamma0char.charformula import CharacterParams, eval_character
+from gamma0char.charformula import CharacterParams, TheoremViolation, eval_character
 from gamma0char.dirichlet import character_from_id
 from gamma0char.sl2 import Gamma0Element, UniModular
 from gamma0char.verify import (
