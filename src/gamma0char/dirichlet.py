@@ -67,9 +67,7 @@ def _smallest_primitive_root(q: int, phi: int) -> int:
 
 def _crt_lift(residue: int, q: int, n: int) -> int:
     """The unit mod n that is `residue` mod q and 1 mod n/q (gcd(q, n/q) = 1)."""
-    m = n // q
-    if m == 1:
-        return residue % n
+    m = n // q  # for m == 1 this gives residue % n, as pow(q, -1, 1) == 0
     inv_m = pow(m, -1, q)
     inv_q = pow(q, -1, m)
     return (residue * m * inv_m + 1 * q * inv_q) % n
@@ -88,18 +86,15 @@ class UnitGroupStructure:
 
     @cached_property
     def logs(self) -> dict[int, tuple[int, ...]]:
-        table: dict[int, tuple[int, ...]] = {}
-
-        def fill(i: int, value: int, exps: tuple[int, ...]) -> None:
-            if i == len(self.factors):
-                table[value] = exps
-                return
-            gen, order = self.factors[i]
-            current = value
-            for k in range(order):
-                fill(i + 1, current, exps + (k,))
-                current = current * gen % self.modulus
-        fill(0, 1 % self.modulus, ())
+        # each unit so far times every power of the next factor's generator
+        table = {1 % self.modulus: ()}
+        for gen, order in self.factors:
+            grown = {}
+            for value, exps in table.items():
+                for k in range(order):
+                    grown[value] = exps + (k,)
+                    value = value * gen % self.modulus
+            table = grown
         return table
 
     def dlog(self, d: int) -> tuple[int, ...]:

@@ -21,13 +21,16 @@ formula (``_p1_keys``).  Two invariants of the result are relied on:
    Gamma0(N)-equivalent boundary edges with the same orientation, and the
    polygon would hold two equivalent tiles.
 
-Word decomposition walks an element's image of the infinite cusp back into
-the base polygon, crossing the one paired side above it at each step.  The
-walk reads a side table of the generator set (``GeneratorSet.walk_table``):
-per interior side, the crossing matrix as an entry tuple and the letter it
-records, with inverses taken as adjugates.  ``reconstruct`` reads a second
-table, ref -> (generator, inverse).  Both are built on first use and kept
-on the set; extraction alone, which is all the scans need, builds neither.
+Word decomposition, at every level, walks an element's image of the
+infinite cusp back into the base polygon, crossing the one paired side above
+it at each step.  The walk reads a side table of the generator set
+(``GeneratorSet.walk_table``): per interior side, the crossing matrix as an
+entry tuple and the letter it records, with inverses taken as adjugates.
+Level 1 has no Farey symbol; its table has one side, from 0 to 1, crossed
+by S^-1, so the walk is the Euclidean algorithm in T and S.  ``reconstruct``
+reads a second table, ref -> (generator, inverse).  Both are built on first
+use and kept on the set; extraction alone, which is all the scans need,
+builds neither.
 """
 
 from __future__ import annotations
@@ -262,7 +265,7 @@ class GeneratorSet:
 
     @cached_property
     def walk_table(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple, ...]]:
-        """(floor, sides) for the cusp walk in decompose(); level >= 2 only.
+        """(floor, sides) for the cusp walk in decompose().
 
         ``floor`` is the finite vertex chain, in which the walk bisects for
         the side above a cusp.  ``sides[j]`` belongs to side j + 1, the one
@@ -271,8 +274,12 @@ class GeneratorSet:
         the inverse letter the crossing records.  An Odd side's u depends on
         which half of the side the cusp lies over, so its entry is
         (u, letter, p, q, u', letter'), where p/q is the side's mediant and
-        the primed pair applies at or right of it.
+        the primed pair applies at or right of it.  Level 1 has no symbol:
+        its one side, from 0 to 1, is crossed by S^-1, which records S.
         """
+        if self.symbol is None:
+            _, s_inv = self.letter_table[("e2", 0)]
+            return ((0, 1), (1, 1)), ((s_inv, (("e2", 0), 1)),)
         vertices = self.symbol.vertices
         sides = []
         for side in range(1, len(vertices) - 2):
@@ -491,11 +498,10 @@ def load_cached_generators(n: int, cache_dir: str) -> GeneratorSet | None:
 
 @dataclass(frozen=True)
 class Word:
-    """Normal form (sign * I) * product of generator powers.
+    """(sign * I) * product of generator powers.
 
-    Letters are ((kind, index), exponent) with adjacent letters referencing
-    distinct generators; exponents are nonzero integers for free generators,
-    1 for order-four elliptic ones and 1 or 2 for order-six ones.
+    Letters are ((kind, index), exponent); ``decompose`` returns words in
+    normal form, ``reconstruct`` multiplies any word out.
     """
 
     sign: int
@@ -540,8 +546,9 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
     currently holds the cusp a/c back into the base polygon, and records the
     inverse letter; both come from the set's ``walk_table``.  The matrix
     stays in Gamma0(N) (only powers of T and generators multiply it), so by
-    invariant 1 the cusp is no vertex.  A per-walk set of visited states
-    guards against cycling, which would indicate a broken symbol.
+    invariant 1 the cusp is no vertex for N >= 2; at level 1 it may be 0,
+    which the bisection puts on the one side.  A per-walk set of visited
+    states guards against cycling, which would indicate a broken symbol.
     """
     floor, sides = gens.walk_table
     a, b, c, d = mat.entries()
@@ -575,45 +582,32 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
     return letters
 
 
-def _decompose_level_one(mat: UniModular, gens: GeneratorSet):
-    """Words over {S, ST}: reduce by the Euclidean algorithm in T and S."""
-    a, b, c, d = mat.entries()
-    ts_letters: list[tuple[str, int]] = []
-    while c != 0:
-        m = a // c
-        if m:
-            a, b = a - m * c, b - m * d
-            ts_letters.append(("T", m))
-        a, b, c, d = c, d, -a, -b
-        ts_letters.append(("S", 1))
-    if a * b:
-        ts_letters.append(("T", a * b))
-    raw: list[tuple[tuple[str, int], int]] = []
-    for name, exp in ts_letters:
-        if name == "S":
-            raw.append((("e2", 0), exp))
-        elif exp > 0:
-            # T = -S * (ST); the sign is recovered from the final product
-            raw.extend(((("e2", 0), -1), (("e3", 0), 1)) * exp)
-        else:
-            raw.extend(((("e3", 0), -1), (("e2", 0), 1)) * (-exp))
-    return raw
-
-
 def decompose(gamma: Gamma0Element, gens: GeneratorSet) -> Word:
     """Normal form of gamma over the generator set; verified by rebuilding.
 
-    The result is deterministic, satisfies the normal-form exponent
-    constraints, and multiplies back to exactly the input matrix.
+    In normal form adjacent letters reference distinct generators, and the
+    exponents are nonzero integers for free generators, 1 for order-four
+    elliptic ones and 1 or 2 for order-six ones.  Level 1 has no free
+    generator, so each power of T the walk records is spelled over {S, ST}
+    as T = S^-1 (ST).  The result is deterministic and multiplies back to
+    exactly the input matrix.
     """
     if gamma.level != gens.level:
         raise ValueError(
             f"element of level {gamma.level} against generators of level {gens.level}"
         )
+    raw = _walk_to_translation(gamma.matrix, gens)
     if gens.level == 1:
-        raw = _decompose_level_one(gamma.matrix, gens)
-    else:
-        raw = _walk_to_translation(gamma.matrix, gens)
+        # T^-1 = (ST)^-1 S; the sign of S^-1 = -S is recovered from the product
+        spelled = []
+        for ref, exp in raw:
+            if ref != ("free", 0):
+                spelled.append((ref, exp))
+            elif exp > 0:
+                spelled += ((("e2", 0), -1), (("e3", 0), 1)) * exp
+            else:
+                spelled += ((("e3", 0), -1), (("e2", 0), 1)) * -exp
+        raw = spelled
     word = Word(1, tuple(_normal_form(raw)))
     product = reconstruct(word, gens)
     if product == gamma.matrix:

@@ -7,7 +7,9 @@ plain entry tuple (a, b, c, d), which ``verify_prop21`` multiplies with
 a ``UniModular``.  ``random_sl2_entries`` and ``random_coprime_pair`` draw
 straight from ``getrandbits`` exactly as CPython's ``randint`` and
 ``randrange`` do, so a seed gives the values those calls would give and
-leaves the generator in the same state.
+leaves the generator in the same state.  ``random_gamma0`` draws a word in
+a generator set and builds its element with ``farey.reconstruct``, the
+product that ``decompose`` checks its words by.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from random import Random
 
-from .farey import GeneratorSet
+from .farey import GeneratorSet, Word, reconstruct
 from .sl2 import Entries, Gamma0Element, UniModular
 
 
@@ -63,14 +65,16 @@ def random_sl2(rng: Random, max_len: int = 40) -> UniModular:
 def random_gamma0(
     rng: Random, gens: GeneratorSet, letters: int = 8, max_exp: int = 3
 ) -> Gamma0Element:
-    """A random product of generator powers (and a random sign) in Gamma0(N)."""
+    """A random product of generator powers (and a random sign) in Gamma0(N):
+    a word of up to ``letters`` letters with nonzero exponents |e| <= max_exp,
+    not necessarily in normal form, multiplied out by ``farey.reconstruct``."""
     refs = gens.all_generators()
-    m = UniModular(1, 0, 0, 1) if rng.random() < 0.5 else UniModular(-1, 0, 0, -1)
+    sign = 1 if rng.random() < 0.5 else -1
+    drawn = []
     for _ in range(rng.randint(0, letters)):
-        _, g = refs[rng.randrange(len(refs))]
-        exp = rng.choice([e for e in range(-max_exp, max_exp + 1) if e])
-        m = m * g**exp
-    return Gamma0Element(m, gens.level)
+        ref, _ = refs[rng.randrange(len(refs))]
+        drawn.append((ref, rng.choice([e for e in range(-max_exp, max_exp + 1) if e])))
+    return Gamma0Element(reconstruct(Word(sign, tuple(drawn)), gens), gens.level)
 
 
 def random_coprime_pair(rng: Random, n: int, cmax: int) -> tuple[int, int]:

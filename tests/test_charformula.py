@@ -210,6 +210,8 @@ def test_params_validation():
         with pytest.raises(ValueError):
             CharacterParams.from_map(chi, r1, full)
     assert CharacterParams.from_map(chi, Fraction(14, 1), full).r1 == 2
+    with pytest.raises(ValueError, match=r"^modulus mismatch$"):
+        params.compose(_params(12))
 
 
 def test_sigma_matrix_examples():

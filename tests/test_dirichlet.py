@@ -70,6 +70,9 @@ def test_character_ids_roundtrip():
     for bad in (Fraction(1, 2), 1.0, "1"):
         with pytest.raises(ValueError):
             DirichletCharacter(7, (bad,))
+    # (Z/8Z)^x has two cyclic factors, generated by -1 and 5
+    with pytest.raises(ValueError, match=r"^exponent vector length does not match the unit group$"):
+        DirichletCharacter(8, (1,))
 
 
 def test_principal_character_is_trivial():
@@ -138,6 +141,8 @@ def test_character_product_matches_pointwise():
                 ab = a * b
                 for u in units:
                     assert evaluate(ab, u).value == (evaluate(a, u) + evaluate(b, u)).value
+    with pytest.raises(ValueError, match=r"^modulus mismatch$"):
+        enumerate_characters(5)[1] * enumerate_characters(7)[1]
 
 
 def test_d_entry_character_is_multiplicative_on_gamma0():

@@ -112,6 +112,8 @@ def test_symbol_invariants_reject_bad_data():
             FareySymbol(11, v11, tuple(("free", i) for i in ids))
     with pytest.raises(ValueError):
         FareySymbol(2, ((-1, 0),), ())
+    with pytest.raises(ValueError, match=r"^one pairing label required per side$"):
+        FareySymbol(2, ((-1, 0), (0, 1), (1, 1), (1, 0)), (("free", 0), EVEN))
 
 
 def test_symbol_vertex_denominators_stay_below_the_level():
@@ -426,6 +428,8 @@ def test_level_one_generators():
     assert gens.counts() == (0, 1, 1)
     assert gens.elliptic2 == (S,)
     assert gens.elliptic3 == (S * T,)
+    with pytest.raises(ValueError, match=r"^level must be positive, got 0$"):
+        build_generators(0)
 
 
 def test_decompose_trivial_cases():
@@ -534,6 +538,74 @@ def test_decompose_level_one_roundtrip():
         m = random_sl2(rng, 30)
         word = decompose(Gamma0Element(m, 1), gens)
         assert reconstruct(word, gens) == m
+
+
+def _frozen_decompose_level_one(mat):
+    """Raw level-1 letters from the Euclidean algorithm in T and S, as a
+    second reduction beside the cusp walk computed them before level 1 moved
+    onto the walk; the oracle."""
+    a, b, c, d = mat.entries()
+    ts_letters = []
+    while c != 0:
+        m = a // c
+        if m:
+            a, b = a - m * c, b - m * d
+            ts_letters.append(("T", m))
+        a, b, c, d = c, d, -a, -b
+        ts_letters.append(("S", 1))
+    if a * b:
+        ts_letters.append(("T", a * b))
+    raw = []
+    for name, exp in ts_letters:
+        if name == "S":
+            raw.append((("e2", 0), exp))
+        elif exp > 0:
+            # T = -S * (ST); the sign is recovered from the final product
+            raw.extend(((("e2", 0), -1), (("e3", 0), 1)) * exp)
+        else:
+            raw.extend(((("e3", 0), -1), (("e2", 0), 1)) * (-exp))
+    return raw
+
+
+def _frozen_level_one_word(mat, gens):
+    word = Word(1, tuple(_oracle_normal_form(_frozen_decompose_level_one(mat))))
+    return word if _frozen_reconstruct(word, gens) == mat else Word(-1, word.letters)
+
+
+def test_level_one_words_match_the_frozen_euclid_oracle():
+    gens = generators(1)
+    rng = random.Random(67)
+    mats = [random_sl2(rng, 40) for _ in range(20000)]
+    for k in list(range(51)) + [997, 4321]:
+        for j in (k, -k):
+            for m in (UniModular(1, j, 0, 1), UniModular(1, 0, j, 1)):
+                mats += [m, -m]
+    for m in mats:
+        assert decompose(Gamma0Element(m, 1), gens) == _frozen_level_one_word(m, gens), m
+
+
+def _frozen_random_gamma0(rng, gens, letters=8, max_exp=3):
+    """``random_gamma0`` as it multiplied ``UniModular`` powers in its own
+    loop before it built its element with ``reconstruct``; the oracle."""
+    refs = gens.all_generators()
+    m = UniModular(1, 0, 0, 1) if rng.random() < 0.5 else UniModular(-1, 0, 0, -1)
+    for _ in range(rng.randint(0, letters)):
+        _, g = refs[rng.randrange(len(refs))]
+        exp = rng.choice([e for e in range(-max_exp, max_exp + 1) if e])
+        m = m * g**exp
+    return Gamma0Element(m, gens.level)
+
+
+def test_random_gamma0_matches_frozen_oracle():
+    for n in (1, 2, 3, 4, 5, 6, 7, 9, 12, 13, 25, 30, 60):
+        gens = generators(n)
+        for seed in range(300):
+            for letters, max_exp in ((8, 3), (10, 3), (3, 2), (0, 1), (5, 6)):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                gamma = random_gamma0(ours, gens, letters, max_exp)
+                assert gamma == _frozen_random_gamma0(theirs, gens, letters, max_exp), (n, seed)
+                # the same draws: the generators are left in the same state
+                assert ours.random() == theirs.random(), (n, seed)
 
 
 def _frozen_mul(x, y):
@@ -808,6 +880,11 @@ def test_cache_rejects_corruption(tmp_path):
     doc["free"][1] = [1, 0, 0, 1]
     with pytest.raises(ValueError):
         generator_set_from_json(doc)
+    for bad, shown in (("6", "'6'"), (6.0, "6.0"), (True, "True")):
+        doc = generator_set_to_json(generators(6))
+        doc["level"] = bad
+        with pytest.raises(ValueError, match=rf"^cache level must be an integer, got {shown}$"):
+            generator_set_from_json(doc)
 
 
 def test_cache_with_swapped_boundary_id_is_rebuilt(tmp_path):

@@ -75,6 +75,8 @@ def test_value_type_contract():
         Gamma0Element(T, 0)
     with pytest.raises(ValueError, match=r"^matrix \(1,0;1,1\) is not in Gamma0\(2\): 2 does not divide 1$"):
         Gamma0Element(UniModular(1, 0, 1, 1), 2)
+    with pytest.raises(ValueError, match=r"^level mismatch$"):
+        Gamma0Element(T, 3) * Gamma0Element(T, 6)
 
 
 def test_multiply_invert():

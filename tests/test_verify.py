@@ -44,6 +44,8 @@ def test_surjectivity_examples():
     report1 = verify_surjectivity(1)
     assert report1["verdict"] == "Surjective"
     assert report1["evidence"]["characters"] == 12
+    with pytest.raises(ValueError, match=r"^level must be positive, got 0$"):
+        verify_surjectivity(0)
 
 
 def test_surjectivity_sweep_small():
