@@ -24,8 +24,9 @@ formula (``_p1_keys``).  Two invariants of the result are relied on:
 Word decomposition, at every level, walks an element's image of the
 infinite cusp back into the base polygon, crossing the one paired side above
 it at each step.  The walk reads a side table of the generator set
-(``GeneratorSet.walk_table``): per interior side, the crossing matrix as an
-entry tuple and the letter it records, with inverses taken as adjugates.
+(``GeneratorSet.walk_table``): per interior side, and per half of an Odd
+side split at its mediant, the crossing matrix as an entry tuple and the
+letter it records, with inverses taken as adjugates.
 Level 1 has no Farey symbol; its table has one side, from 0 to 1, crossed
 by S^-1, so the walk is the Euclidean algorithm in T and S.  ``reconstruct``
 reads a second table, ref -> (generator, inverse).  Both are built on first
@@ -267,33 +268,34 @@ class GeneratorSet:
     def walk_table(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple, ...]]:
         """(floor, sides) for the cusp walk in decompose().
 
-        ``floor`` is the finite vertex chain, in which the walk bisects for
-        the side above a cusp.  ``sides[j]`` belongs to side j + 1, the one
-        from floor[j] to the next vertex, and is (u, letter): the matrix that
-        carries the tile across that side back into the base polygon, and
-        the inverse letter the crossing records.  An Odd side's u depends on
-        which half of the side the cusp lies over, so its entry is
-        (u, letter, p, q, u', letter'), where p/q is the side's mediant and
-        the primed pair applies at or right of it.  Level 1 has no symbol:
-        its one side, from 0 to 1, is crossed by S^-1, which records S.
+        ``floor`` is the finite vertex chain with each Odd side's mediant put
+        in; the walk bisects it for the side above a cusp.  ``sides[j]``, for
+        the stretch from floor[j] to floor[j + 1], is (u, letter): the matrix
+        carrying the tile across it back into the base polygon, and the
+        inverse letter the crossing records.  An Odd side's g crosses left of
+        its mediant (letter g^2) and g^-1 right of it (letter g).  No cusp is
+        a mediant (p1 + p2)/(q1 + q2): N divides the cusp's denominator, and
+        N | q1 + q2 with N | q1^2 + q1 q2 + q2^2 would put every prime of N
+        into both q1 and q2, which are coprime.  Level 1 has no symbol: its
+        one side, from 0 to 1, is crossed by S^-1, which records S.
         """
         if self.symbol is None:
             _, s_inv = self.letter_table[("e2", 0)]
             return ((0, 1), (1, 1)), ((s_inv, (("e2", 0), 1)),)
         vertices = self.symbol.vertices
-        sides = []
+        floor, sides = [vertices[1]], []
         for side in range(1, len(vertices) - 2):
             kind, idx, orient = self.side_rules[side]
             ref = (kind, idx)
             g, g_inv = self.letter_table[ref]
-            if kind == "free":
-                sides.append((g, (ref, -1)) if orient > 0 else (g_inv, (ref, 1)))
-            elif kind == "e2":
-                sides.append((g, (ref, -1)))
-            else:
+            if kind == "e3":
                 (p1, q1), (p2, q2) = vertices[side], vertices[side + 1]
-                sides.append((g, (ref, 2), p1 + p2, q1 + q2, g_inv, (ref, 1)))
-        return vertices[1:-1], tuple(sides)
+                floor.append((p1 + p2, q1 + q2))
+                sides += ((g, (ref, 2)), (g_inv, (ref, 1)))
+            else:
+                sides.append((g, (ref, -1)) if orient > 0 else (g_inv, (ref, 1)))
+            floor.append(vertices[side + 1])
+        return tuple(floor), tuple(sides)
 
 
 def _extract_generators(symbol: FareySymbol) -> GeneratorSet:
@@ -546,9 +548,10 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
     currently holds the cusp a/c back into the base polygon, and records the
     inverse letter; both come from the set's ``walk_table``.  The matrix
     stays in Gamma0(N) (only powers of T and generators multiply it), so by
-    invariant 1 the cusp is no vertex for N >= 2; at level 1 it may be 0,
-    which the bisection puts on the one side.  A per-walk set of visited
-    states guards against cycling, which would indicate a broken symbol.
+    invariant 1 the cusp is no vertex for N >= 2, nor an Odd side's mediant
+    (see ``walk_table``); at level 1 it may be 0, which the bisection puts
+    on the one side.  A per-walk set of visited states guards against
+    cycling, which would indicate a broken symbol.
     """
     floor, sides = gens.walk_table
     a, b, c, d = mat.entries()
@@ -562,15 +565,9 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
         # the cusp is num/den in lowest terms (gcd(a, c) = 1) with
         # 0 <= num < den: the remainder of a by c lies in [0, c) or (c, 0]
         num, den = (a, c) if c > 0 else (-a, -c)
-        # last vertex p/q < num/den; p*den - num*q grows along the vertices
-        side = sides[bisect_right(floor, 0, key=lambda v: v[0] * den - num * v[1]) - 1]
-        if len(side) == 2:
-            (e, f, g, h), letter = side
-        else:  # an Odd side: which half of it the cusp lies over
-            u, letter, p, q, u_right, letter_right = side
-            if num * q >= p * den:
-                u, letter = u_right, letter_right
-            e, f, g, h = u
+        # last floor point p/q <= num/den; p*den - num*q grows along the floor
+        j = bisect_right(floor, 0, key=lambda v: v[0] * den - num * v[1]) - 1
+        (e, f, g, h), letter = sides[j]
         a, b, c, d = e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d
         letters.append(letter)
         state = (a, b, c, d) if c > 0 or (c == 0 and a > 0) else (-a, -b, -c, -d)

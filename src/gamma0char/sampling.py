@@ -69,11 +69,12 @@ def random_gamma0(
     a word of up to ``letters`` letters with nonzero exponents |e| <= max_exp,
     not necessarily in normal form, multiplied out by ``farey.reconstruct``."""
     refs = gens.all_generators()
+    exps = [e for e in range(-max_exp, max_exp + 1) if e]
     sign = 1 if rng.random() < 0.5 else -1
     drawn = []
     for _ in range(rng.randint(0, letters)):
         ref, _ = refs[rng.randrange(len(refs))]
-        drawn.append((ref, rng.choice([e for e in range(-max_exp, max_exp + 1) if e])))
+        drawn.append((ref, rng.choice(exps)))
     return Gamma0Element(reconstruct(Word(sign, tuple(drawn)), gens), gens.level)
 
 

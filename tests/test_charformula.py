@@ -11,6 +11,8 @@ from gamma0char import charformula
 from gamma0char.charformula import (
     KERNEL_LEVELS,
     CharacterParams,
+    SigmaMatrix,
+    TheoremViolation,
     beta,
     dedekind_identity_quotient,
     eval_character,
@@ -21,7 +23,7 @@ from gamma0char.dirichlet import divisors, enumerate_characters, unit_group_stru
 from gamma0char.exact import dedekind_sum, gcd_all
 from gamma0char.farey import generators
 from gamma0char.sampling import random_gamma0
-from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, psi, sigma
+from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, psi, psi_conjugate, sigma
 
 
 def _params(n, chi_index=0, r1=0, **weights):
@@ -267,13 +269,17 @@ def test_beta_table_values():
     assert beta(9, 9) == 8
 
 
-def test_beta_domain_errors():
+def test_beta_domain_errors(monkeypatch):
     with pytest.raises(ValueError):
         beta(10, 3)
     with pytest.raises(ValueError):
         beta(10, 1)
     with pytest.raises(ValueError):
         beta(1, 1)
+    # a zero column gcd in the table is a theorem violation, not a value
+    monkeypatch.setitem(charformula._beta_table, 7, {7: 0})
+    with pytest.raises(TheoremViolation, match=r"^image of sigma_7,7 is trivial$"):
+        beta(7, 7)
 
 
 def test_beta_independent_of_generator_set():
@@ -300,6 +306,23 @@ def test_kernel_exponent_check_examples():
 def test_kernel_exponent_check_rejects_other_levels():
     with pytest.raises(ValueError):
         kernel_exponent_check(Gamma0Element(T, 6))
+
+
+def test_kernel_tools_raise_theorem_violations(monkeypatch):
+    # two free generators with nonzero sigma_9; through __wrapped__, so the
+    # lru_cache keeps no result of the patched matrix
+    monkeypatch.setattr(
+        charformula, "sigma_matrix", lambda n: SigmaMatrix(n, (3, 9), ((1, 1), (2, 2)))
+    )
+    message = r"^level 9: expected exactly one free generator with nonzero sigma, found 2$"
+    with pytest.raises(TheoremViolation, match=message):
+        charformula._distinguished_generator.__wrapped__(9)
+    monkeypatch.undo()
+    # -I has exponent sum 0, so a nonzero sigma contradicts it
+    monkeypatch.setattr(charformula, "sigma", lambda gamma, l: 1)
+    message = r"^exponent sum 0 contradicts sigma value at \(-1,0;0,-1\)$"
+    with pytest.raises(TheoremViolation, match=message):
+        kernel_exponent_check(Gamma0Element(NEG_I, 9))
 
 
 def test_kernel_biconditional_random():
@@ -341,10 +364,15 @@ def test_dedekind_identity_bulk_random():
             assert dedekind_identity_quotient(n, c, d) == literal_quotient(n, c, d)
 
 
-def test_dedekind_identity_domain_errors():
+def test_dedekind_identity_domain_errors(monkeypatch):
     with pytest.raises(ValueError):
         dedekind_identity_quotient(6, 6, 1)
     with pytest.raises(ValueError):
         dedekind_identity_quotient(2, 3, 1)
     with pytest.raises(ValueError):
         dedekind_identity_quotient(2, 4, 2)
+    # sigma_3 of (1, 0; 3, 1) is -2; one more in the conjugate's psi makes -3
+    monkeypatch.setattr(charformula, "psi_conjugate", lambda *abcdl: psi_conjugate(*abcdl) + 1)
+    message = r"^quotient -3 not divisible by 2 at \(n, c, d\) = \(3, 3, 1\)$"
+    with pytest.raises(TheoremViolation, match=message):
+        dedekind_identity_quotient(3, 3, 1)

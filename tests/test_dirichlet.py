@@ -20,6 +20,8 @@ def test_structure_examples():
     assert unit_group_structure(7).factors == ((3, 6),)
     assert unit_group_structure(8).factors == ((7, 2), (5, 2))
     assert unit_group_structure(1).factors == ()
+    with pytest.raises(ValueError, match=r"^modulus must be positive, got 0$"):
+        unit_group_structure(0)
 
 
 def test_structure_orders_multiply_to_phi():

@@ -430,6 +430,9 @@ def test_level_one_generators():
     assert gens.elliptic3 == (S * T,)
     with pytest.raises(ValueError, match=r"^level must be positive, got 0$"):
         build_generators(0)
+    message = r"^levels below 2 have no Farey symbol here; see generators\(\)$"
+    with pytest.raises(ValueError, match=message):
+        farey_symbol(1)
 
 
 def test_decompose_trivial_cases():
@@ -769,6 +772,40 @@ def test_walk_tables_are_built_on_first_use():
     assert "walk_table" in vars(gens) and "letter_table" in vars(gens)
     # the tables are not fields: equality and the cache document ignore them
     assert gens == farey._extract_generators(symbol)
+
+
+def test_walk_table_entries_are_half_side_pairs():
+    # the floor is strictly increasing and holds no cusp of Gamma0(N): its
+    # denominators are vertices' (0 < q < N) or Odd mediants', none divisible
+    # by N; each entry's crossing matrix times the power its letter records
+    # is +-I, so every crossing is undone by its letter
+    for n in range(1, 61):
+        gens = generators(n)
+        floor, sides = gens.walk_table
+        assert len(floor) == len(sides) + 1, n
+        for (p1, q1), (p2, q2) in zip(floor, floor[1:]):
+            assert p1 * q2 < p2 * q1, n
+        if n > 1:
+            assert all(q % n for _, q in floor), n
+        for u, (ref, e) in sides:
+            g, _ = gens.letter_table[ref]
+            assert mul4(u, pow4(g, e)) in (I.entries(), NEG_I.entries()), (n, ref, e)
+
+
+def test_walk_raises_on_a_corrupted_walk_table():
+    # identity crossings leave the walk where it was; negated letters still
+    # reach oo but spell another element
+    cases = [
+        (lambda u, letter: ((1, 0, 0, 1), letter), "side-crossing walk entered a cycle"),
+        (lambda u, letter: (u, (letter[0], -letter[1])), "decomposition of {} failed to close up"),
+    ]
+    for corrupt, message in cases:
+        gens = build_generators(11)  # not memoised: the corruption stays here
+        floor, sides = gens.walk_table
+        vars(gens)["walk_table"] = (floor, tuple(corrupt(u, letter) for u, letter in sides))
+        with pytest.raises(RuntimeError) as info:
+            decompose(Gamma0Element(gens.free[1], 11), gens)
+        assert str(info.value) == message.format(gens.free[1])
 
 
 def test_exponent_sum_examples():
