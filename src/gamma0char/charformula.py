@@ -13,9 +13,10 @@ so an evaluation is one table read and one integer sum.  Every sigma value is
 taken from unpacked entries: ``kernels.psi4`` of the matrix minus
 ``sl2.psi_conjugate``, the one routine that forms the conjugate.
 
-A scan visits each level once, so ``sigma_matrix`` keeps no matrix.  What
-later levels need of it, the column gcds beta(N, l), stays in a per-process
-table of small integers that ``beta`` reads; it is the sigma layer's only memo.
+A scan visits each level once, so ``sigma_matrix`` keeps no matrix.  The
+sigma layer's two per-process memos hold small values: ``_beta_table``, the
+column gcds beta(N, l) that ``beta`` reads, and the ``lru_cache`` of
+``_distinguished_generator``, one generator ref per kernel level.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
-from .dirichlet import DirichletCharacter, divisors, unit_group_structure
+from .dirichlet import DirichletCharacter, divisors
 from .exact import CircleExponent, as_fraction, as_int, gcd_all
 from .farey import decompose, exponent_sum, generators
 from .kernels import psi4
@@ -49,9 +49,8 @@ class CharacterParams:
     reads chi(d) + (r1/12 + sum of the r_l) * psi - sum of r_l * psi_l, so
     construction compiles, all scaled to M:
 
-    - ``chi_table``: for each residue d mod N, the chi exponent of d (the
-      character's weights dotted with the discrete log of d) when d is a
-      unit, else None;
+    - ``chi_table``: the character's ``table`` scaled from its modulus to M,
+      so the chi exponent of each residue d mod N, None at a non-unit;
     - ``psi_weight``: r1 * M / 12 plus the sum of the r_l * M;
     - ``rl_weights``: (l, r_l * M) for each nonzero r_l.
     """
@@ -73,10 +72,8 @@ class CharacterParams:
         r_l = tuple((l, as_fraction(r)) for l, r in self.r_l)
         big = math.lcm(12, self.chi.value_modulus, *(r.denominator for _, r in r_l))
         scale = big // self.chi.value_modulus
-        weights = [w * scale for w in self.chi.weights]
-        logs = map(unit_group_structure(n).logs.get, range(n))
         rl = tuple((l, r.numerator * (big // r.denominator)) for l, r in r_l if r)
-        table = tuple(None if e is None else sum(map(mul, weights, e)) for e in logs)
+        table = tuple(None if v is None else v * scale for v in self.chi.table)
         put = object.__setattr__
         put(self, "r1", r1)
         put(self, "r_l", r_l)
@@ -87,7 +84,7 @@ class CharacterParams:
 
     def chi_exponent(self, d: int) -> int:
         """chi(d) as an integer over M, read from ``chi_table``; d must be a
-        unit modulo N (ValueError otherwise, as ``UnitGroupStructure.dlog``)."""
+        unit modulo N (ValueError otherwise, as ``dirichlet.evaluate``)."""
         n = self.chi.modulus
         d %= n
         value = self.chi_table[d]

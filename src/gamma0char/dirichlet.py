@@ -2,15 +2,14 @@
 
 The unit group (Z/NZ)^x is decomposed into cyclic factors by the Chinese
 remainder theorem: the smallest primitive root for each odd prime power, and
-the pair {-1, 5} for powers of two above 4.  Discrete logarithms come from
-one table per modulus, ``UnitGroupStructure.logs``, filled on first use by
-walking every exponent vector of the factors (phi(N) entries).  Each character
-is compiled once into integer weights over m, the lcm of the factor orders.
+the pair {-1, 5} for powers of two above 4.  Each character is compiled once
+into integer weights over m, the lcm of the factor orders, and holds chi(d)
+over m for every residue d mod N in one table, ``DirichletCharacter.table``,
+filled on first use by walking every exponent vector of the factors.
 
-``evaluate`` reads the table on every call, which suits one-off values over
-many characters.  The character formula's hot loop does not call it:
-``charformula.CharacterParams`` compiles its character's value at every
-residue d mod N once per parameter triple, so an evaluation is one read.
+``evaluate`` reads that table, which suits one-off values.  The character
+formula's hot loop does not call it: ``charformula.CharacterParams`` scales
+the table to its own modulus once per parameter triple.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import add, mul
+from operator import add
 
 from .exact import CircleExponent, as_int
 
@@ -75,34 +74,10 @@ def _crt_lift(residue: int, q: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class UnitGroupStructure:
-    """Cyclic decomposition of (Z/NZ)^x: generators with their orders.
-
-    The product of the orders is phi(N); ``logs``, built on first use, maps
-    each unit in [0, N) to its unique exponent vector, which ``dlog`` reads.
-    """
+    """Cyclic decomposition of (Z/NZ)^x: generators with their orders (product phi(N))."""
 
     modulus: int
     factors: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def logs(self) -> dict[int, tuple[int, ...]]:
-        # each unit so far times every power of the next factor's generator
-        table = {1 % self.modulus: ()}
-        for gen, order in self.factors:
-            grown = {}
-            for value, exps in table.items():
-                for k in range(order):
-                    grown[value] = exps + (k,)
-                    value = value * gen % self.modulus
-            table = grown
-        return table
-
-    def dlog(self, d: int) -> tuple[int, ...]:
-        d %= self.modulus
-        try:
-            return self.logs[d]
-        except KeyError:
-            raise ValueError(f"{d} is not a unit modulo {self.modulus}") from None
 
 
 @lru_cache(maxsize=None)
@@ -132,8 +107,8 @@ class DirichletCharacter:
     """A character of (Z/NZ)^x, encoded by exponents on the cyclic factors.
 
     Exponents k_i are reduced mod their orders; chi(d) is the sum of
-    w_i * dlog_i(d) over m = ``value_modulus``, the lcm of the orders, with
-    ``weights`` w_i = k_i * m / order_i.
+    w_i * e_i over m = ``value_modulus``, the lcm of the orders, where
+    d = prod of g_i^e_i over the factors and ``weights`` w_i = k_i * m / order_i.
     """
 
     modulus: int
@@ -151,6 +126,23 @@ class DirichletCharacter:
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "value_modulus", m)
         object.__setattr__(self, "weights", tuple(k * (m // o) for k, o in zip(exps, orders)))
+
+    @cached_property
+    def table(self) -> tuple[int | None, ...]:
+        """chi(d) over ``value_modulus``, unreduced, per residue d mod N; None at a non-unit."""
+        n = self.modulus
+        # each unit so far times every power of the next factor's generator,
+        # its value growing by that factor's weight at each step
+        values = {1 % n: 0}
+        for (gen, order), weight in zip(unit_group_structure(n).factors, self.weights):
+            grown = {}
+            for unit, value in values.items():
+                for _ in range(order):
+                    grown[unit] = value
+                    unit = unit * gen % n
+                    value += weight
+            values = grown
+        return tuple(map(values.get, range(n)))
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         if self.modulus != other.modulus:
@@ -187,10 +179,9 @@ def enumerate_characters(n: int) -> list[DirichletCharacter]:
 
 
 def evaluate(chi: DirichletCharacter, d: int) -> CircleExponent:
-    """chi(d) as a circle exponent; d must be a unit modulo N.
-
-    The exponent is the dot product of the character's integer weights with
-    the discrete log of d, over the modulus m = ``chi.value_modulus``.
-    """
-    dlog = unit_group_structure(chi.modulus).dlog(d)
-    return CircleExponent.from_residue(sum(map(mul, chi.weights, dlog)), chi.value_modulus)
+    """chi(d) as a circle exponent, read from ``chi.table``; d must be a unit mod N."""
+    d %= chi.modulus
+    value = chi.table[d]
+    if value is None:
+        raise ValueError(f"{d} is not a unit modulo {chi.modulus}")
+    return CircleExponent.from_residue(value, chi.value_modulus)

@@ -101,8 +101,11 @@ class FareySymbol:
         for (p1, q1), (p2, q2) in zip(v, v[1:]):
             if p2 * q1 - p1 * q2 != 1:
                 raise ValueError(f"vertices {p1}/{q1}, {p2}/{q2} are not adjacent")
+        # the cusp walk bisects the finite chain for a cusp in [0, 1)
+        if v[:2] != ((-1, 0), (0, 1)) or v[-2:] != ((1, 1), (1, 0)):
+            raise ValueError("the vertex chain must run -1/0, 0/1, ..., 1/1, 1/0")
         boundary = ("free", 0)
-        if not self.pairings or boundary != self.pairings[0] or boundary != self.pairings[-1]:
+        if boundary != self.pairings[0] or boundary != self.pairings[-1]:
             raise ValueError("the two boundary sides must carry the pair label ('free', 0)")
         seen: dict[int, int] = {}
         for label in self.pairings:
@@ -550,13 +553,14 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
     stays in Gamma0(N) (only powers of T and generators multiply it), so by
     invariant 1 the cusp is no vertex for N >= 2, nor an Odd side's mediant
     (see ``walk_table``); at level 1 it may be 0, which the bisection puts
-    on the one side.  A per-walk set of visited states guards against
-    cycling, which would indicate a broken symbol.
+    on the one side.  A cycle would indicate a broken symbol; Brent's
+    detection finds every one in constant memory, comparing each state with
+    the one saved at the last power-of-two step.
     """
     floor, sides = gens.walk_table
     a, b, c, d = mat.entries()
     letters: list[tuple[tuple[str, int], int]] = []
-    seen: set = set()
+    saved, steps = None, 0
     while c != 0:
         m = a // c
         if m:
@@ -571,9 +575,11 @@ def _walk_to_translation(mat: UniModular, gens: GeneratorSet):
         a, b, c, d = e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d
         letters.append(letter)
         state = (a, b, c, d) if c > 0 or (c == 0 and a > 0) else (-a, -b, -c, -d)
-        if state in seen:
+        if state == saved:
             raise RuntimeError("side-crossing walk entered a cycle")
-        seen.add(state)
+        steps += 1
+        if steps & (steps - 1) == 0:
+            saved = state
     if a * b:
         letters.append((("free", 0), a * b))
     return letters

@@ -103,7 +103,9 @@ def verify_surjectivity(n: int) -> dict:
     weights can steer the free generators to any rational targets, and (ii)
     the (Dirichlet character, r1) pairs reach every admissible assignment of
     values at -I and the elliptic generators, a group of order
-    2**(e2 + 1) * 3**e3.  The report's "verdict" is "Surjective" or
+    2**(e2 + 1) * 3**e3.  At level 1 the twelve characters of SL2(Z) are
+    fixed by their values at T, so it is surjective iff those twelve values
+    are distinct.  The report's "verdict" is "Surjective" or
     "NotSurjective"; either is a completed check, so its "ok" is true.
     """
     if n < 1:
@@ -111,7 +113,8 @@ def verify_surjectivity(n: int) -> dict:
     if n == 1:
         values = sorted((chi_t(t, T) for t in range(12)), key=lambda v: v.value)
         evidence = {"characters": 12, "distinct_values_at_T": [str(v) for v in values]}
-        return {"ok": True, "level": 1, "verdict": "Surjective", "evidence": evidence}
+        verdict = "Surjective" if len(set(values)) == 12 else "NotSurjective"
+        return {"ok": True, "level": 1, "verdict": verdict, "evidence": evidence}
     gens = generators(n)
     r, e2, e3 = gens.counts()
     t_minus_1 = len(divisors(n)) - 1

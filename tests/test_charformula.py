@@ -1,8 +1,10 @@
 """The character formula, sigma matrix, beta, kernel tools, sum identity."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 import pytest
@@ -19,7 +21,13 @@ from gamma0char.charformula import (
     kernel_exponent_check,
     sigma_matrix,
 )
-from gamma0char.dirichlet import divisors, enumerate_characters, unit_group_structure
+from gamma0char.dirichlet import (
+    divisors,
+    enumerate_characters,
+    euler_phi,
+    evaluate,
+    unit_group_structure,
+)
 from gamma0char.exact import dedekind_sum, gcd_all
 from gamma0char.farey import generators
 from gamma0char.sampling import random_gamma0
@@ -34,12 +42,25 @@ def _params(n, chi_index=0, r1=0, **weights):
     return CharacterParams.from_map(chi, r1, r_l)
 
 
+@lru_cache(maxsize=None)
+def _exponent_vectors(n):
+    """Unit d mod n -> its exponent vector e, d = prod of g_i^e_i over the
+    cyclic factors, found by trying every vector with pow rather than by the
+    library's table walk."""
+    factors = unit_group_structure(n).factors
+    vectors = {}
+    for exps in itertools.product(*(range(order) for _, order in factors)):
+        vectors[math.prod(pow(g, e, n) for (g, _), e in zip(factors, exps)) % n] = exps
+    assert len(vectors) == euler_phi(n)
+    return vectors
+
+
 def _oracle_evaluate(chi, d):
-    """chi(d) mod 1 summed term by term in Fractions: the former library code."""
-    structure = unit_group_structure(chi.modulus)
-    dlog = structure.dlog(d)
+    """chi(d) mod 1 summed term by term in Fractions over the brute-force
+    exponent vector of d."""
+    exps = _exponent_vectors(chi.modulus)[d % chi.modulus]
     total = Fraction(0)
-    for k, e, (_, order) in zip(chi.exponents, dlog, structure.factors):
+    for k, e, (_, order) in zip(chi.exponents, exps, unit_group_structure(chi.modulus).factors):
         total += Fraction(k * e, order)
     return total % 1
 
@@ -107,7 +128,7 @@ def _value_error(fn, *args):
 
 def test_chi_table_matches_the_dlog_dot_product():
     for n in (*range(1, 61), 210, 840):
-        structure = unit_group_structure(n)
+        vectors = _exponent_vectors(n)
         # weights over 5 make M a proper multiple of the character's modulus
         r_l = {l: Fraction(1, 5) for l in divisors(n) if l > 1}
         for chi in enumerate_characters(n):
@@ -116,12 +137,13 @@ def test_chi_table_matches_the_dlog_dot_product():
             assert len(params.chi_table) == n
             for d in range(n):
                 if math.gcd(d, n) == 1:
-                    expected = scale * sum(map(mul, chi.weights, structure.dlog(d)))
+                    expected = scale * sum(map(mul, chi.weights, vectors[d]))
                     assert params.chi_exponent(d) == params.chi_exponent(d - 3 * n) == expected
+                    assert evaluate(chi, d + 5 * n).value == _oracle_evaluate(chi, d)
                 else:
                     assert params.chi_table[d] is None
-                    message = _value_error(structure.dlog, d)
-                    assert message == f"{d} is not a unit modulo {n}"
+                    message = f"{d} is not a unit modulo {n}"
+                    assert _value_error(evaluate, chi, d - 4 * n) == message
                     assert _value_error(params.chi_exponent, d) == message
                     assert _value_error(params.chi_exponent, d + 2 * n) == message
 

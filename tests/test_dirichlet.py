@@ -93,8 +93,11 @@ def test_paper_value_mod_7():
 
 def test_evaluate_rejects_nonunits():
     chi = enumerate_characters(6)[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^3 is not a unit modulo 6$"):
         evaluate(chi, 3)
+    # the message names the residue
+    with pytest.raises(ValueError, match=r"^4 is not a unit modulo 6$"):
+        evaluate(chi, -2)
 
 
 def test_multiplicativity_exhaustive():

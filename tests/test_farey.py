@@ -4,6 +4,7 @@ import heapq
 import json
 import os
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
@@ -99,21 +100,61 @@ def test_symbol_structure_small_levels():
     assert s4.vertices[1:-1] == ((0, 1), (1, 2), (1, 1))
 
 
+_BOUNDARY_MESSAGE = r"^the two boundary sides must carry the pair label \('free', 0\)$"
+_CHAIN_MESSAGE = r"^the vertex chain must run -1/0, 0/1, \.\.\., 1/1, 1/0$"
+
+
 def test_symbol_invariants_reject_bad_data():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^vertices 0/1, 2/3 are not adjacent$"):
         FareySymbol(4, ((-1, 0), (0, 1), (2, 3), (1, 0)), (("free", 0),) * 3)
-    with pytest.raises(ValueError):
+    # every other check passes on this chain, so only adjacency rejects it
+    with pytest.raises(ValueError, match=r"^vertices 1/3, 1/1 are not adjacent$"):
+        FareySymbol(
+            4, ((-1, 0), (0, 1), (1, 3), (1, 1), (1, 0)), (("free", 0), EVEN, EVEN, ("free", 0))
+        )
+    with pytest.raises(ValueError, match=_BOUNDARY_MESSAGE):
         FareySymbol(2, ((-1, 0), (0, 1), (1, 1), (1, 0)), (("free", 0), EVEN, ("free", 1)))
     # the boundary pair must be id 0, and id 0 must stay off interior sides
     v11 = farey_symbol(11).vertices
     assert farey_symbol(11).pairings == tuple(("free", i) for i in (0, 1, 2, 1, 2, 0))
-    for ids in [(1, 0, 2, 0, 2, 1), (0, 0, 2, 0, 2, 0), (0, 1, 2, 1, 2, 2), (2, 1, 0, 1, 0, 2)]:
-        with pytest.raises(ValueError):
+    twice = r"^every free pair id must occur exactly twice$"
+    for ids, message in [
+        ((1, 0, 2, 0, 2, 1), _BOUNDARY_MESSAGE),
+        ((0, 0, 2, 0, 2, 0), twice),
+        ((0, 1, 2, 1, 2, 2), _BOUNDARY_MESSAGE),
+        ((2, 1, 0, 1, 0, 2), _BOUNDARY_MESSAGE),
+    ]:
+        with pytest.raises(ValueError, match=message):
             FareySymbol(11, v11, tuple(("free", i) for i in ids))
-    with pytest.raises(ValueError):
+    # a chain without finite vertices has no sides to label
+    with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
         FareySymbol(2, ((-1, 0),), ())
     with pytest.raises(ValueError, match=r"^one pairing label required per side$"):
         FareySymbol(2, ((-1, 0), (0, 1), (1, 1), (1, 0)), (("free", 0), EVEN))
+
+
+def test_symbol_chain_must_run_from_0_to_1(tmp_path):
+    # adjacent throughout and correctly labelled, but the finite chain runs
+    # 1/1, 2/1: on it the cusp walk's bisection finds no side below a cusp in
+    # [0, 1), and the walk never reaches oo
+    vertices = ((-1, 0), (1, 1), (2, 1), (1, 0))
+    pairings = (("free", 0), EVEN, ("free", 0))
+    with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
+        FareySymbol(2, vertices, pairings)
+    for bad in (((-1, 0), (0, 1), (1, 1), (2, 1)), ((-1, 1), (0, 1), (1, 1), (1, 0))):
+        with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
+            FareySymbol(2, bad, pairings)
+    # the generators that symbol gives, written as a cache file for level 2
+    expected = generator_set_to_json(build_generators(2))
+    doc = dict(expected, elliptic2=[[3, -5, 2, -3]])
+    doc["farey"] = {"vertices": vertices, "pairings": pairings}  # json writes tuples as lists
+    path = tmp_path / "gamma0-generators-2.json"
+    path.write_text(json.dumps(doc))
+    assert load_cached_generators(2, str(tmp_path)) is None
+    farey._memo.pop(2, None)  # as in a fresh process
+    gens = generators(2, str(tmp_path))
+    assert generator_set_to_json(gens) == expected
+    assert json.loads(path.read_text()) == expected
 
 
 def test_symbol_vertex_denominators_stay_below_the_level():
@@ -806,6 +847,21 @@ def test_walk_raises_on_a_corrupted_walk_table():
         with pytest.raises(RuntimeError) as info:
             decompose(Gamma0Element(gens.free[1], 11), gens)
         assert str(info.value) == message.format(gens.free[1])
+
+
+def test_walk_memory_stays_near_its_letter_list():
+    # the cycle guard keeps one saved state, not every state it has visited
+    gens = generators(5)
+    gens.walk_table
+    k = 20_000
+    tracemalloc.start()
+    try:
+        letters = farey._walk_to_translation(UniModular(1, 0, 5 * k, 1), gens)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(letters) == 3 * k
+    assert peak < 3 * held
 
 
 def test_exponent_sum_examples():

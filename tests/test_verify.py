@@ -48,6 +48,14 @@ def test_surjectivity_examples():
         verify_surjectivity(0)
 
 
+def test_level_one_verdict_reads_the_values_at_t(monkeypatch):
+    # twelve equal values at T would leave characters unrealised
+    monkeypatch.setattr(verify_mod, "chi_t", lambda t, g: CircleExponent.from_residue(0, 1))
+    report = verify_surjectivity(1)
+    assert report["verdict"] == "NotSurjective"
+    assert report["evidence"]["distinct_values_at_T"] == ["0/1"] * 12
+
+
 def test_surjectivity_sweep_small():
     for n in range(1, 61):
         report = verify_surjectivity(n)
