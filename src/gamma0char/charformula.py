@@ -14,9 +14,8 @@ taken from unpacked entries: ``kernels.psi4`` of the matrix minus
 ``sl2.psi_conjugate``, the one routine that forms the conjugate.
 
 A scan visits each level once, so ``sigma_matrix`` keeps no matrix.  The
-sigma layer's two per-process memos hold small values: ``_beta_table``, the
-column gcds beta(N, l) that ``beta`` reads, and the ``lru_cache`` of
-``_distinguished_generator``, one generator ref per kernel level.
+sigma layer's one per-process memo is ``_beta_table``, the column gcds
+beta(N, l) that ``beta`` reads.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .dirichlet import DirichletCharacter, divisors
 from .exact import CircleExponent, as_fraction, as_int, gcd_all
@@ -139,10 +137,6 @@ class SigmaMatrix:
     cols: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    def column(self, l: int) -> tuple[int, ...]:
-        j = self.cols.index(l)
-        return tuple(row[j] for row in self.entries)
-
 
 # beta(N, l) for every level whose sigma matrix was computed: {N: {l: beta}}
 _beta_table: dict[int, dict[int, int]] = {}
@@ -187,21 +181,9 @@ def beta(n: int, l: int) -> int:
     return value
 
 
-# levels where exactly one free generator has a nonzero bottom-divisor sigma,
-# so that membership in the kernel is read off a single exponent sum
+# levels where T is the only free generator with a nonzero bottom-divisor
+# sigma, so that membership in the kernel is read off T's exponent sum
 KERNEL_LEVELS = (2, 3, 4, 5, 7, 9, 13, 25)
-
-
-@lru_cache(maxsize=None)
-def _distinguished_generator(n: int) -> tuple[str, int]:
-    column = sigma_matrix(n).column(n)
-    nonzero = [j for j, value in enumerate(column) if value]
-    if len(nonzero) != 1:
-        raise TheoremViolation(
-            f"level {n}: expected exactly one free generator with nonzero "
-            f"sigma, found {len(nonzero)}"
-        )
-    return ("free", nonzero[0])
 
 
 def check_kernel_level(n: int) -> None:
@@ -211,23 +193,28 @@ def check_kernel_level(n: int) -> None:
 
 
 def kernel_exponent_check(gamma: Gamma0Element) -> tuple[int, bool]:
-    """Exponent sum of the distinguished generator, and whether it vanishes.
+    """Exponent sum e_T of T in gamma's word, and whether it vanishes.
 
-    Only valid for the levels in KERNEL_LEVELS.  The vanishing of the sum is
-    equivalent to gamma lying in the kernel of the bottom-divisor
-    homomorphism; a mismatch raises TheoremViolation.
+    Only valid for the levels in KERNEL_LEVELS.  sigma_N is a homomorphism
+    to the integers, so it kills -I and the elliptic generators; for the
+    word w of gamma, sigma_N(gamma) is the sum over the free generators of
+    e_i(w) * sigma_N(free_i).  At these levels T is the one free generator
+    with sigma_N != 0, and sigma_N(T) = 1 - N, so the identity
+    sigma_N(gamma) = (1 - N) * e_T(gamma) holds; gamma lies in the kernel
+    exactly when e_T vanishes.  A mismatch raises TheoremViolation.
+
+    Words grow linearly with the entries of gamma, so the tested inputs keep
+    the lower-left entry within 1000 * N.
     """
     n = gamma.level
     check_kernel_level(n)
-    ref = _distinguished_generator(n)
     word = decompose(gamma, generators(n))
-    total = exponent_sum(word, ref)
-    in_kernel = total == 0
-    if in_kernel != (sigma(gamma, n) == 0):
+    total = exponent_sum(word, ("free", 0))  # T is the first free generator
+    if sigma(gamma, n) != (1 - n) * total:
         raise TheoremViolation(
             f"exponent sum {total} contradicts sigma value at {gamma.matrix}"
         )
-    return total, in_kernel
+    return total, total == 0
 
 
 def dedekind_identity_quotient(n: int, c: int, d: int) -> int:

@@ -211,16 +211,15 @@ def verify_conjecture3(max_n: int) -> dict:
     return _scan(max_n, check)
 
 
-def _check_trials(trials: int) -> None:
+def _seeded_rng(trials: int, seed: int) -> Random:
+    """Random(seed) for a seeded verifier, after checking trials and seed."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-
-
-def _check_seed(seed: int) -> None:
     # Random(-s) seeds like Random(s), so a negative seed would report
     # another seed's run under its own name
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    return Random(seed)
 
 
 def verify_prop21(trials: int, seed: int) -> dict:
@@ -229,9 +228,7 @@ def verify_prop21(trials: int, seed: int) -> dict:
     Runs on entry tuples: x and y come from ``random_sl2_entries``, xy from
     ``mul4``, and ``psi4`` checks the determinant of all three.
     """
-    _check_trials(trials)
-    _check_seed(seed)
-    rng = Random(seed)
+    rng = _seeded_rng(trials, seed)
     case_hits = {12: 0, 0: 0, -12: 0}
     for _ in range(trials):
         x = random_sl2_entries(rng)
@@ -255,9 +252,7 @@ def verify_prop21(trials: int, seed: int) -> dict:
 
 def verify_dedekind_identity(trials: int, seed: int, cmax: int = 10**4) -> dict:
     """Bulk run of the two-level Dedekind sum identity on random (c, d)."""
-    _check_trials(trials)
-    _check_seed(seed)
-    rng = Random(seed)
+    rng = _seeded_rng(trials, seed)
     checked = 0
     for n in KERNEL_LEVELS:
         for _ in range(trials):
@@ -268,11 +263,9 @@ def verify_dedekind_identity(trials: int, seed: int, cmax: int = 10**4) -> dict:
 
 
 def verify_kernel(level: int, trials: int, seed: int) -> dict:
-    """Exponent-sum criterion for the kernel at a distinguished-generator level."""
+    """Exponent-sum criterion for the kernel at a level of KERNEL_LEVELS."""
     check_kernel_level(level)  # before any Farey work
-    _check_trials(trials)
-    _check_seed(seed)
-    rng = Random(seed)
+    rng = _seeded_rng(trials, seed)
     gens = generators(level)
     checked = 0
     for _ in range(trials):

@@ -13,7 +13,6 @@ from gamma0char import charformula
 from gamma0char.charformula import (
     KERNEL_LEVELS,
     CharacterParams,
-    SigmaMatrix,
     TheoremViolation,
     beta,
     dedekind_identity_quotient,
@@ -32,6 +31,7 @@ from gamma0char.exact import dedekind_sum, gcd_all
 from gamma0char.farey import generators
 from gamma0char.sampling import random_gamma0
 from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, psi, psi_conjugate, sigma
+from gamma0char.verify import predicted_beta
 
 
 def _params(n, chi_index=0, r1=0, **weights):
@@ -330,21 +330,87 @@ def test_kernel_exponent_check_rejects_other_levels():
         kernel_exponent_check(Gamma0Element(T, 6))
 
 
+def _parent_kernel_exponent_check(gamma):
+    """The former library check, frozen: it finds the one free generator with
+    a nonzero sigma_N in the level's sigma matrix, and compares only whether
+    its exponent sum and sigma_N(gamma) vanish.  Looks up ``sigma_matrix``
+    and ``sigma`` on the module, as the library did, so patches reach it."""
+    n = gamma.level
+    charformula.check_kernel_level(n)
+    mat = charformula.sigma_matrix(n)
+    j = mat.cols.index(n)
+    nonzero = [i for i, row in enumerate(mat.entries) if row[j]]
+    if len(nonzero) != 1:
+        raise TheoremViolation(
+            f"level {n}: expected exactly one free generator with nonzero "
+            f"sigma, found {len(nonzero)}"
+        )
+    word = charformula.decompose(gamma, generators(n))
+    total = charformula.exponent_sum(word, ("free", nonzero[0]))
+    in_kernel = total == 0
+    if in_kernel != (charformula.sigma(gamma, n) == 0):
+        raise TheoremViolation(
+            f"exponent sum {total} contradicts sigma value at {gamma.matrix}"
+        )
+    return total, in_kernel
+
+
+def _lower_row_element(rng, n, kmax=1000, dmax=10**5):
+    """A random element of Gamma0(n) from its lower row (c, d), c = +-n*k with
+    k <= kmax and |d| <= dmax, shifted by a random power of T: the shape of
+    the benchmark's kernel inputs."""
+    while True:
+        c = n * rng.randint(1, kmax) * rng.choice((1, -1))
+        d = rng.randint(-dmax, dmax)
+        if math.gcd(c, d) == 1:
+            break
+    a = pow(d, -1, c)
+    b = (a * d - 1) // c
+    t = rng.randint(-2, 2)
+    return Gamma0Element(UniModular(a + t * c, b + t * d, c, d), n)
+
+
+def test_kernel_exponent_check_matches_the_parent_oracle():
+    rng = random.Random(71)
+    for n in KERNEL_LEVELS:
+        gens = generators(n)
+        elements = [random_gamma0(rng, gens) for _ in range(60)]
+        elements += [_lower_row_element(rng, n) for _ in range(30)]
+        for gamma in elements:
+            assert kernel_exponent_check(gamma) == _parent_kernel_exponent_check(gamma), gamma
+
+
+def test_kernel_levels_are_the_one_nonzero_sigma_levels():
+    # the levels whose sigma column N is zero except in T's row are exactly
+    # KERNEL_LEVELS, and exactly the levels whose beta(N, N) = N - 1 by the
+    # residue table; there sigma_N(T) = 1 - N
+    one_nonzero = set()
+    for n in range(2, 301):
+        assert generators(n).free[0] == T
+        mat = sigma_matrix(n)
+        j = mat.cols.index(n)
+        if [i for i, row in enumerate(mat.entries) if row[j]] == [0]:
+            assert mat.entries[0][j] == 1 - n
+            one_nonzero.add(n)
+    assert one_nonzero == set(KERNEL_LEVELS)
+    assert {n for n in range(2, 301) if predicted_beta(n) == n - 1} == set(KERNEL_LEVELS)
+
+
 def test_kernel_tools_raise_theorem_violations(monkeypatch):
-    # two free generators with nonzero sigma_9; through __wrapped__, so the
-    # lru_cache keeps no result of the patched matrix
-    monkeypatch.setattr(
-        charformula, "sigma_matrix", lambda n: SigmaMatrix(n, (3, 9), ((1, 1), (2, 2)))
-    )
-    message = r"^level 9: expected exactly one free generator with nonzero sigma, found 2$"
-    with pytest.raises(TheoremViolation, match=message):
-        charformula._distinguished_generator.__wrapped__(9)
-    monkeypatch.undo()
     # -I has exponent sum 0, so a nonzero sigma contradicts it
     monkeypatch.setattr(charformula, "sigma", lambda gamma, l: 1)
     message = r"^exponent sum 0 contradicts sigma value at \(-1,0;0,-1\)$"
     with pytest.raises(TheoremViolation, match=message):
         kernel_exponent_check(Gamma0Element(NEG_I, 9))
+    # a sigma off by one multiple of 1 - N at T**2 (e_T = 2) is nonzero where
+    # e_T is nonzero, so the parent's zero-ness check passes; the identity
+    # sigma_N = (1 - N) * e_T does not
+    gamma = Gamma0Element(T * T, 9)
+    monkeypatch.setattr(charformula, "sigma", lambda gamma, l: (1 - l) * (2 + 1))
+    assert _parent_kernel_exponent_check(gamma) == (2, False)
+    message = r"^exponent sum 2 contradicts sigma value at \(1,2;0,1\)$"
+    with pytest.raises(TheoremViolation, match=message):
+        kernel_exponent_check(gamma)
 
 
 def test_kernel_biconditional_random():

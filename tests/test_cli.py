@@ -121,6 +121,10 @@ PINNED_STDOUT = [
         "--seed 7 verify kernel --level 13 --trials 200",
         '{"checked": 200, "level": 13, "ok": true, "seed": 7, "trials": 200}\n',
     ),
+    (
+        "--seed 7 verify kernel --level 25 --trials 200",
+        '{"checked": 200, "level": 25, "ok": true, "seed": 7, "trials": 200}\n',
+    ),
     ("verify conjecture3 --max 60", '{"checked": 59, "max_n": 60, "mismatches": [], "ok": true}\n'),
     (
         "eval-char --level 12 --chi 3 --r1 5 --rl 2=1/3,3=-1/4,4=2/5,6=1/6,12=-7/12 --matrix 5,2,12,5",

@@ -258,6 +258,18 @@ def test_seeded_verifiers_reject_negative_seeds():
         assert run(0)["ok"] is True
 
 
+def test_seeded_verifiers_check_level_then_trials_then_seed():
+    for run in (
+        lambda trials, seed: verify_prop21(trials, seed),
+        lambda trials, seed: verify_dedekind_identity(trials, seed),
+        lambda trials, seed: verify_kernel(7, trials, seed),
+    ):
+        with pytest.raises(ValueError, match=r"^trials must be at least 1, got 0$"):
+            run(0, -7)
+    with pytest.raises(ValueError, match=r"^level 6 is not in \(2, 3, 4, 5, 7, 9, 13, 25\)$"):
+        verify_kernel(6, 0, -7)
+
+
 def test_dedekind_identity_report():
     report = verify_dedekind_identity(100, seed=5)
     assert report["ok"] is True
