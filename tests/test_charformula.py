@@ -355,27 +355,12 @@ def _parent_kernel_exponent_check(gamma):
     return total, in_kernel
 
 
-def _lower_row_element(rng, n, kmax=1000, dmax=10**5):
-    """A random element of Gamma0(n) from its lower row (c, d), c = +-n*k with
-    k <= kmax and |d| <= dmax, shifted by a random power of T: the shape of
-    the benchmark's kernel inputs."""
-    while True:
-        c = n * rng.randint(1, kmax) * rng.choice((1, -1))
-        d = rng.randint(-dmax, dmax)
-        if math.gcd(c, d) == 1:
-            break
-    a = pow(d, -1, c)
-    b = (a * d - 1) // c
-    t = rng.randint(-2, 2)
-    return Gamma0Element(UniModular(a + t * c, b + t * d, c, d), n)
-
-
-def test_kernel_exponent_check_matches_the_parent_oracle():
+def test_kernel_exponent_check_matches_the_parent_oracle(benchmark_shaped_element):
     rng = random.Random(71)
     for n in KERNEL_LEVELS:
         gens = generators(n)
         elements = [random_gamma0(rng, gens) for _ in range(60)]
-        elements += [_lower_row_element(rng, n) for _ in range(30)]
+        elements += [benchmark_shaped_element(rng, n) for _ in range(30)]
         for gamma in elements:
             assert kernel_exponent_check(gamma) == _parent_kernel_exponent_check(gamma), gamma
 

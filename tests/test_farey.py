@@ -761,20 +761,6 @@ def _matrix_for_reconstruct(word, gens):
     return UniModular(*m)
 
 
-def _benchmark_shaped_element(rng, n):
-    """An element of Gamma0(n) built as the seeded-checks benchmark builds
-    its inputs: c = +-n*k with k <= 1000, |d| <= 10**5, a = d^-1 mod c."""
-    while True:
-        c = n * rng.randint(1, 1000) * rng.choice((1, -1))
-        d = rng.randint(-(10**5), 10**5)
-        if gcd(c, d) == 1:
-            break
-    a = pow(d, -1, c)
-    b = (a * d - 1) // c
-    t = rng.randint(-2, 2)
-    return Gamma0Element(UniModular(a + t * c, b + t * d, c, d), n)
-
-
 def _assert_walk_and_rebuild_match(gamma, gens):
     raw = farey._walk_to_translation(gamma.matrix, gens)
     assert raw == _closure_walk_to_translation(gamma.matrix, gens), gamma
@@ -783,12 +769,12 @@ def _assert_walk_and_rebuild_match(gamma, gens):
             assert reconstruct(word, gens) == _matrix_for_reconstruct(word, gens), gamma
 
 
-def test_walk_and_reconstruct_match_oracles_on_benchmark_elements():
+def test_walk_and_reconstruct_match_oracles_on_benchmark_elements(benchmark_shaped_element):
     rng = random.Random(59)
     for n in KERNEL_LEVELS:
         gens = generators(n)
         for _ in range(150):
-            _assert_walk_and_rebuild_match(_benchmark_shaped_element(rng, n), gens)
+            _assert_walk_and_rebuild_match(benchmark_shaped_element(rng, n), gens)
 
 
 def test_walk_and_reconstruct_match_oracles_on_generator_words():

@@ -247,25 +247,18 @@ def test_prop21_matches_the_unimodular_oracle(monkeypatch):
 
 
 def test_seeded_verifiers_reject_negative_seeds():
-    # Random(-s) seeds like Random(s), so the report would carry another seed's run
-    for run in (
-        lambda seed: verify_prop21(10, seed),
-        lambda seed: verify_dedekind_identity(5, seed),
-        lambda seed: verify_kernel(7, 5, seed),
+    # Random(-s) seeds like Random(s), so the report would carry another seed's run;
+    # trials are checked before the seed, and verify_kernel checks its level first
+    for run, trials in (
+        (verify_prop21, 10),
+        (verify_dedekind_identity, 5),
+        (lambda trials, seed: verify_kernel(7, trials, seed), 5),
     ):
         with pytest.raises(ValueError, match=r"^seed must be non-negative, got -7$"):
-            run(-7)
-        assert run(0)["ok"] is True
-
-
-def test_seeded_verifiers_check_level_then_trials_then_seed():
-    for run in (
-        lambda trials, seed: verify_prop21(trials, seed),
-        lambda trials, seed: verify_dedekind_identity(trials, seed),
-        lambda trials, seed: verify_kernel(7, trials, seed),
-    ):
+            run(trials, -7)
         with pytest.raises(ValueError, match=r"^trials must be at least 1, got 0$"):
             run(0, -7)
+        assert run(trials, 0)["ok"] is True
     with pytest.raises(ValueError, match=r"^level 6 is not in \(2, 3, 4, 5, 7, 9, 13, 25\)$"):
         verify_kernel(6, 0, -7)
 
