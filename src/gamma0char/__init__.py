@@ -10,7 +10,6 @@ from .exact import (
     CircleExponent,
     dedekind_sum,
     dedekind_sum_fast,
-    gcd_all,
     integer_rank,
 )
 from .sl2 import Gamma0Element, UniModular, chi_t, omega, psi, sigma
@@ -26,7 +25,6 @@ from .farey import (
 )
 from .dirichlet import (
     DirichletCharacter,
-    UnitGroupStructure,
     enumerate_characters,
     unit_group_structure,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "SigmaMatrix",
     "TheoremViolation",
     "UniModular",
-    "UnitGroupStructure",
     "Word",
     "beta",
     "chi_t",
@@ -71,7 +68,6 @@ __all__ = [
     "eval_character",
     "exponent_sum",
     "farey_symbol",
-    "gcd_all",
     "generators",
     "index_gamma0",
     "integer_rank",

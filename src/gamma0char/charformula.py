@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dirichlet import DirichletCharacter, divisors
-from .exact import CircleExponent, as_fraction, as_int, gcd_all
+from .exact import CircleExponent, as_fraction, as_int
 from .farey import decompose, exponent_sum, generators
 from .kernels import psi4
 from .sl2 import Gamma0Element, psi_conjugate, sigma
@@ -63,11 +63,11 @@ class CharacterParams:
 
     def __post_init__(self) -> None:
         n = self.chi.modulus
+        r_l = tuple((as_int(l), as_fraction(r)) for l, r in self.r_l)
         expected = [l for l in divisors(n) if l > 1]
-        if [l for l, _ in self.r_l] != expected:
+        if [l for l, _ in r_l] != expected:
             raise ValueError(f"r_l keys must be the divisors of {n} above 1: {expected}")
         r1 = as_int(self.r1) % 12
-        r_l = tuple((l, as_fraction(r)) for l, r in self.r_l)
         big = math.lcm(12, self.chi.value_modulus, *(r.denominator for _, r in r_l))
         scale = big // self.chi.value_modulus
         rl = tuple((l, r.numerator * (big // r.denominator)) for l, r in r_l if r)
@@ -92,8 +92,7 @@ class CharacterParams:
 
     @classmethod
     def from_map(cls, chi: DirichletCharacter, r1: int, r_l: dict) -> "CharacterParams":
-        items = tuple(sorted((as_int(l), as_fraction(r)) for l, r in r_l.items()))
-        return cls(chi, r1, items)
+        return cls(chi, r1, tuple(sorted(r_l.items())))
 
     def compose(self, other: "CharacterParams") -> "CharacterParams":
         if self.chi.modulus != other.chi.modulus:
@@ -157,7 +156,7 @@ def sigma_matrix(n: int) -> SigmaMatrix:
         a, b, c, d = g.a, g.b, g.c, g.d
         psi_g = psi4(a, b, c, d)
         rows.append(tuple([psi_g - psi_conjugate(a, b, c, d, l) for l in cols]))
-    _beta_table[n] = dict(zip(cols, map(gcd_all, zip(*rows))))
+    _beta_table[n] = {l: math.gcd(*col) for l, col in zip(cols, zip(*rows))}
     return SigmaMatrix(n, cols, tuple(rows))
 
 

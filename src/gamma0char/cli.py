@@ -109,10 +109,9 @@ def _dedekind(args: argparse.Namespace) -> dict:
 
 
 def _characters(args: argparse.Namespace) -> dict:
-    structure = unit_group_structure(args.level)
     return {
         "modulus": args.level,
-        "factors": [list(f) for f in structure.factors],
+        "factors": [list(f) for f in unit_group_structure(args.level)],
         "characters": [
             {"id": chi.id(), "modulus": chi.modulus, "exponents": list(chi.exponents)}
             for chi in enumerate_characters(args.level)

@@ -2,10 +2,12 @@
 
 The unit group (Z/NZ)^x is decomposed into cyclic factors by the Chinese
 remainder theorem: the smallest primitive root for each odd prime power, and
-the pair {-1, 5} for powers of two above 4.  Each character is compiled once
-into integer weights over m, the lcm of the factor orders, and holds chi(d)
-over m for every residue d mod N in one table, ``DirichletCharacter.table``,
-filled on first use by walking every exponent vector of the factors.
+the pair {-1, 5} for powers of two above 4.  ``unit_group_structure`` returns
+the factors as a tuple of (generator, order) pairs, memoized per modulus.
+Each character is compiled once into integer weights over m, the lcm of the
+factor orders, and holds chi(d) over m for every residue d mod N in one
+table, ``DirichletCharacter.table``, filled on first use by walking every
+exponent vector of the factors.
 
 ``evaluate`` reads that table, which suits one-off values.  The character
 formula's hot loop does not call it: ``charformula.CharacterParams`` scales
@@ -72,17 +74,10 @@ def _crt_lift(residue: int, q: int, n: int) -> int:
     return (residue * m * inv_m + 1 * q * inv_q) % n
 
 
-@dataclass(frozen=True)
-class UnitGroupStructure:
-    """Cyclic decomposition of (Z/NZ)^x: generators with their orders (product phi(N))."""
-
-    modulus: int
-    factors: tuple[tuple[int, int], ...]
-
-
 @lru_cache(maxsize=None)
-def unit_group_structure(n: int) -> UnitGroupStructure:
-    """Deterministic cyclic decomposition of (Z/NZ)^x (smallest generators)."""
+def unit_group_structure(n: int) -> tuple[tuple[int, int], ...]:
+    """Deterministic cyclic decomposition of (Z/NZ)^x (smallest generators) as
+    (generator, order) pairs; the orders multiply to phi(N), () for N <= 2."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     factors: list[tuple[int, int]] = []
@@ -99,7 +94,7 @@ def unit_group_structure(n: int) -> UnitGroupStructure:
             phi = (p - 1) * p ** (e - 1)
             g = _smallest_primitive_root(q, phi)
             factors.append((_crt_lift(g, q, n), phi))
-    return UnitGroupStructure(n, tuple(factors))
+    return tuple(factors)
 
 
 @dataclass(frozen=True)
@@ -117,10 +112,10 @@ class DirichletCharacter:
     weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        structure = unit_group_structure(self.modulus)
-        if len(self.exponents) != len(structure.factors):
+        factors = unit_group_structure(self.modulus)
+        if len(self.exponents) != len(factors):
             raise ValueError("exponent vector length does not match the unit group")
-        orders = [order for _, order in structure.factors]
+        orders = [order for _, order in factors]
         exps = tuple(as_int(k) % order for k, order in zip(self.exponents, orders))
         m = math.lcm(*orders)
         object.__setattr__(self, "exponents", exps)
@@ -134,7 +129,7 @@ class DirichletCharacter:
         # each unit so far times every power of the next factor's generator,
         # its value growing by that factor's weight at each step
         values = {1 % n: 0}
-        for (gen, order), weight in zip(unit_group_structure(n).factors, self.weights):
+        for (gen, order), weight in zip(unit_group_structure(n), self.weights):
             grown = {}
             for unit, value in values.items():
                 for _ in range(order):
@@ -155,17 +150,15 @@ class DirichletCharacter:
 
     def id(self) -> int:
         """Mixed-radix rank of the exponent vector (principal character is 0)."""
-        structure = unit_group_structure(self.modulus)
         rank = 0
-        for exp, (_, order) in zip(self.exponents, structure.factors):
+        for exp, (_, order) in zip(self.exponents, unit_group_structure(self.modulus)):
             rank = rank * order + exp
         return rank
 
 
 def character_from_id(n: int, rank: int) -> DirichletCharacter:
-    structure = unit_group_structure(n)
     exps = []
-    for _, order in reversed(structure.factors):
+    for _, order in reversed(unit_group_structure(n)):
         exps.append(rank % order)
         rank //= order
     if rank:

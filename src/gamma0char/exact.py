@@ -67,11 +67,6 @@ def dedekind_sum_fast(h: int, k: int) -> Fraction:
     return Fraction(h + inv - k * (3 + kernels.psi4(inv, (inv * h - 1) // k, k, h)), 12 * k)
 
 
-def gcd_all(xs) -> int:
-    """gcd of the absolute values; 0 for an empty or all-zero collection."""
-    return math.gcd(*xs)
-
-
 def integer_rank(rows) -> int:
     """Rank over the rationals of an integer matrix, by a fraction-free echelon basis.
 

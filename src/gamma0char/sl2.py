@@ -48,9 +48,10 @@ def pow4(u: Entries, n: int) -> Entries:
 class UniModular:
     """A 2x2 integer matrix with determinant 1.
 
-    Frozen and slotted: ``__init__`` checks the determinant and stores the
-    entries through the slot descriptors, which a frozen class's own
-    ``__setattr__`` would refuse.
+    Frozen and slotted: ``__init__`` checks the entries and the determinant
+    and stores the entries through the slot descriptors, which a frozen
+    class's own ``__setattr__`` would refuse.  A float or ``Fraction`` entry
+    makes the determinant one too, so one type test on it rejects them.
     """
 
     a: int
@@ -59,7 +60,10 @@ class UniModular:
     d: int
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        if a * d - b * c != 1:
+        det = a * d - b * c
+        if type(det) is not int:
+            raise ValueError(f"entries are not all integers: {(a, b, c, d)}")
+        if det != 1:
             raise ValueError(f"determinant is not 1: {(a, b, c, d)}")
         _set_a(self, a)
         _set_b(self, b)
@@ -104,6 +108,8 @@ class Gamma0Element:
     level: int
 
     def __init__(self, matrix: UniModular, level: int) -> None:
+        if type(level) is not int:
+            raise ValueError(f"level is not an integer: {level!r}")
         if level < 1:
             raise ValueError(f"level must be positive, got {level}")
         if matrix.c % level != 0:
@@ -175,6 +181,8 @@ def sigma(gamma: Gamma0Element, l: int) -> int:
     Requires l | N for the element's level N.  Additive in gamma, vanishes on
     every finite-order element, and takes T to 1 - l.
     """
+    if type(l) is not int:
+        raise ValueError(f"divisor is not an integer: {l!r}")
     if l < 1 or gamma.level % l != 0:
         raise ValueError(f"{l} does not divide the level {gamma.level}")
     m = gamma.matrix

@@ -27,7 +27,7 @@ from gamma0char.dirichlet import (
     evaluate,
     unit_group_structure,
 )
-from gamma0char.exact import dedekind_sum, gcd_all
+from gamma0char.exact import dedekind_sum
 from gamma0char.farey import generators
 from gamma0char.sampling import random_gamma0
 from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, psi, psi_conjugate, sigma
@@ -47,7 +47,7 @@ def _exponent_vectors(n):
     """Unit d mod n -> its exponent vector e, d = prod of g_i^e_i over the
     cyclic factors, found by trying every vector with pow rather than by the
     library's table walk."""
-    factors = unit_group_structure(n).factors
+    factors = unit_group_structure(n)
     vectors = {}
     for exps in itertools.product(*(range(order) for _, order in factors)):
         vectors[math.prod(pow(g, e, n) for (g, _), e in zip(factors, exps)) % n] = exps
@@ -60,7 +60,7 @@ def _oracle_evaluate(chi, d):
     exponent vector of d."""
     exps = _exponent_vectors(chi.modulus)[d % chi.modulus]
     total = Fraction(0)
-    for k, e, (_, order) in zip(chi.exponents, exps, unit_group_structure(chi.modulus).factors):
+    for k, e, (_, order) in zip(chi.exponents, exps, unit_group_structure(chi.modulus)):
         total += Fraction(k * e, order)
     return total % 1
 
@@ -238,6 +238,20 @@ def test_params_validation():
         params.compose(_params(12))
 
 
+def test_params_reject_a_float_divisor_key():
+    # 2.0 == 2 passes the comparison with the divisors, so a float key is
+    # caught by its type; an integral Fraction key is taken as its int
+    chi = enumerate_characters(6)[0]
+    weights = ((2.0, Fraction(1, 3)), (3, Fraction(0)), (6, Fraction(1, 2)))
+    with pytest.raises(ValueError, match=r"^2\.0 is not an integer$"):
+        CharacterParams(chi, 1, weights)
+    with pytest.raises(ValueError, match=r"^2\.0 is not an integer$"):
+        CharacterParams.from_map(chi, 1, dict(weights))
+    assert CharacterParams(chi, 1, ((Fraction(2), Fraction(1, 3)), *weights[1:])) == (
+        CharacterParams.from_map(chi, 1, {2: Fraction(1, 3), 3: 0, 6: Fraction(1, 2)})
+    )
+
+
 def test_sigma_matrix_examples():
     m7 = sigma_matrix(7)
     assert m7.cols == (7,)
@@ -264,12 +278,12 @@ def test_sigma_matrix_recomputes_from_sigma():
 
 
 def test_beta_table_matches_full_matrix_oracle(monkeypatch):
-    # oracle: gcd_all over the whole sigma column of the free generators
+    # oracle: math.gcd over the whole sigma column of the free generators
     for n in range(2, 301):
         gens = generators(n)
         for l in divisors(n)[1:]:
             column = [sigma(Gamma0Element(g, n), l) for g in gens.free]
-            assert beta(n, l) == gcd_all(column), (n, l)
+            assert beta(n, l) == math.gcd(*column), (n, l)
     assert set(range(2, 301)) <= set(charformula._beta_table)
     # a table hit builds no matrix
     def build(n):
@@ -312,7 +326,7 @@ def test_beta_independent_of_generator_set():
         fricke = [UniModular(g.d, -(g.c // n), -n * g.b, g.a) for g in free]
         assert fricke != list(free)
         for l in [l for l in divisors(n) if l > 1]:
-            alt = gcd_all([sigma(Gamma0Element(g, n), l) for g in fricke])
+            alt = math.gcd(*[sigma(Gamma0Element(g, n), l) for g in fricke])
             assert alt == beta(n, l)
 
 

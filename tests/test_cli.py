@@ -131,6 +131,24 @@ PINNED_STDOUT = [
         '{"value": "43/60"}\n',
     ),
     ("dedekind --h 999999 --k 1000003", '{"s": "-41666666667/2000006"}\n'),
+    # the unit group's (generator, order) factors: none at level 1, the pair
+    # {-1, 5} at 8, and at 12 the lifts 7 = (3 mod 4, 1 mod 3), 5 = (1 mod 4, 2 mod 3)
+    (
+        "characters --level 1",
+        '{"characters": [{"exponents": [], "id": 0, "modulus": 1}], "factors": [], "modulus": 1}\n',
+    ),
+    (
+        "characters --level 8",
+        '{"characters": [{"exponents": [0, 0], "id": 0, "modulus": 8}, {"exponents": [0, 1],'
+        ' "id": 1, "modulus": 8}, {"exponents": [1, 0], "id": 2, "modulus": 8}, {"exponents":'
+        ' [1, 1], "id": 3, "modulus": 8}], "factors": [[7, 2], [5, 2]], "modulus": 8}\n',
+    ),
+    (
+        "characters --level 12",
+        '{"characters": [{"exponents": [0, 0], "id": 0, "modulus": 12}, {"exponents": [0, 1],'
+        ' "id": 1, "modulus": 12}, {"exponents": [1, 0], "id": 2, "modulus": 12}, {"exponents":'
+        ' [1, 1], "id": 3, "modulus": 12}], "factors": [[7, 2], [5, 2]], "modulus": 12}\n',
+    ),
     # the naive sum's vectorised path at its limit k = 10**6, and its
     # pure-Python loop above it
     ("dedekind --h 7 --k 1000000 --naive", '{"s": "952332381/80000"}\n'),

@@ -1,4 +1,4 @@
-"""Dedekind sums, circle exponents, integer rank, gcd."""
+"""Dedekind sums, circle exponents, integer rank."""
 
 import random
 from fractions import Fraction
@@ -13,7 +13,6 @@ from gamma0char.exact import (
     dedekind_sum_fast,
     fraction_from_str,
     fraction_to_str,
-    gcd_all,
     integer_rank,
 )
 
@@ -281,13 +280,6 @@ def test_integer_rank_matches_frozen_bareiss_on_sigma_matrices():
         rank = integer_rank(m)
         assert rank == _frozen_bareiss_rank(m), n
         assert rank <= len(m[0])
-
-
-def test_gcd_all():
-    assert gcd_all([6, -4]) == 2
-    assert gcd_all([]) == 0
-    assert gcd_all([0, 5]) == 5
-    assert gcd_all([0, 0]) == 0
 
 
 def test_fraction_serialization():

@@ -340,7 +340,7 @@ def _coprime_lift(c: int, d: int, n: int) -> tuple[int, int]:
 def test_p1_keys_are_a_complete_invariant():
     for n in [*range(2, 121), 128, 169, 210, 243, 343, 360]:
         key = farey._p1_keys(n)
-        units = [u for u, _ in unit_group_structure(n).factors]
+        units = [u for u, _ in unit_group_structure(n)]
         keys = set()
         for c in range(n):
             for d in range(n):
@@ -486,6 +486,12 @@ def test_decompose_trivial_cases():
 def test_decompose_level_mismatch():
     with pytest.raises(ValueError):
         decompose(Gamma0Element(T, 6), generators(7))
+
+
+def test_decompose_never_sees_a_float_entry():
+    # a float entry reaching the walk would give a float exponent of T
+    with pytest.raises(ValueError, match=r"^entries are not all integers: \(1\.0, 0, 6, 1\)$"):
+        decompose(Gamma0Element(UniModular(1.0, 0, 6, 1), 6), generators(6))
 
 
 def test_table1_matrices_decompose():

@@ -40,6 +40,21 @@ def test_unimodular_validation():
         Gamma0Element(UniModular(1, 0, 1, 1), 2)
 
 
+def test_unimodular_rejects_inexact_entries():
+    # (2.0, 1; 1, 1) has determinant 1.0, which passes a value test
+    with pytest.raises(ValueError, match=r"^entries are not all integers: \(2\.0, 1, 1, 1\)$"):
+        UniModular(2.0, 1, 1, 1)
+    with pytest.raises(
+        ValueError, match=r"^entries are not all integers: \(1, 0, Fraction\(6, 1\), 1\)$"
+    ):
+        UniModular(1, 0, Fraction(6), 1)
+
+
+def test_gamma0_element_rejects_a_non_integer_level():
+    with pytest.raises(ValueError, match=r"^level is not an integer: 6\.0$"):
+        Gamma0Element(UniModular(1, 0, 6, 1), 6.0)
+
+
 def test_value_type_contract():
     gamma = Gamma0Element(T, 3)
     half = CircleExponent.from_residue(1, 2)
@@ -161,6 +176,12 @@ def test_sigma_examples():
 def test_sigma_domain_error():
     with pytest.raises(ValueError):
         sigma(Gamma0Element(T, 6), 4)
+
+
+def test_sigma_rejects_a_non_integer_divisor():
+    # 2.0 divides 6 as a float, and psi4 would take the conjugate by it
+    with pytest.raises(ValueError, match=r"^divisor is not an integer: 2\.0$"):
+        sigma(Gamma0Element(UniModular(1, 0, 6, 1), 6), 2.0)
 
 
 def test_sigma_on_cusp_parabolics_closed_form():
