@@ -32,6 +32,11 @@ by S^-1, so the walk is the Euclidean algorithm in T and S.  ``reconstruct``
 reads a second table, ref -> (generator, inverse).  Both are built on first
 use and kept on the set; extraction alone, which is all the scans need,
 builds neither.
+
+The disk cache keeps one file per level holding only the symbol: the finite
+vertex denominators and the labels coded as ints.  A read rebuilds the
+numerators by adjacency and extracts the generators again, through every
+check a fresh build runs; only the construction is skipped.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import json
 import os
 import tempfile
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
@@ -107,22 +113,19 @@ class FareySymbol:
         boundary = ("free", 0)
         if boundary != self.pairings[0] or boundary != self.pairings[-1]:
             raise ValueError("the two boundary sides must carry the pair label ('free', 0)")
-        seen: dict[int, int] = {}
-        for label in self.pairings:
-            if label not in (EVEN, ODD):
+        for label, count in Counter(self.pairings).items():
+            if label != EVEN and label != ODD:
                 if len(label) != 2 or label[0] != "free" or type(label[1]) is not int:
                     raise ValueError(f"malformed pairing label {label!r}")
-                seen[label[1]] = seen.get(label[1], 0) + 1
-        if any(count != 2 for count in seen.values()):
-            # with the boundary check this also keeps id 0 off interior sides
-            raise ValueError("every free pair id must occur exactly twice")
+                if count != 2:
+                    # with the boundary check this also keeps id 0 off interior sides
+                    raise ValueError("every free pair id must occur exactly twice")
 
     def counts(self) -> tuple[int, int, int]:
         """(free pairs, even sides, odd sides) = (r, e2, e3)."""
-        e2 = sum(1 for label in self.pairings if label == EVEN)
-        e3 = sum(1 for label in self.pairings if label == ODD)
-        r = sum(1 for label in self.pairings if label[0] == "free") // 2
-        return r, e2, e3
+        e2 = self.pairings.count(EVEN)
+        e3 = self.pairings.count(ODD)
+        return (len(self.pairings) - e2 - e3) // 2, e2, e3
 
 
 def _p1_keys(n: int):
@@ -356,9 +359,9 @@ def _extract_generators(symbol: FareySymbol) -> GeneratorSet:
             raise RuntimeError(f"odd generator {h} does not cube to -I")
     return GeneratorSet(
         n,
-        tuple(UniModular(*h) for h in free),
-        tuple(UniModular(*h) for h in elliptic2),
-        tuple(UniModular(*h) for h in elliptic3),
+        tuple([UniModular(*h) for h in free]),
+        tuple([UniModular(*h) for h in elliptic2]),
+        tuple([UniModular(*h) for h in elliptic3]),
         symbol,
         tuple(rules),
     )
@@ -413,18 +416,67 @@ def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
 # ---------------------------------------------------------------------------
 # disk cache (whole-file JSON per level, last-writer-wins)
 
-# Version of the Farey construction a cache file was written by; a file from
-# any other construction is a miss, so one cache never mixes two of them.
-CONSTRUCTION = 2
+# Version of the Farey construction, and of the cache document, a cache file
+# was written by; a file from any other is a miss, so one cache never mixes
+# two of them.
+CONSTRUCTION = 3
+
+# pairing label -> its code in a cache file; a Free label is coded by its pair id
+_LABEL_CODES = {EVEN: -1, ODD: -2}
+_CODE_LABELS = {code: label for label, code in _LABEL_CODES.items()}
 
 
 def _cache_path(cache_dir: str, n: int) -> str:
     return os.path.join(cache_dir, f"gamma0-generators-{n}.json")
 
 
+def _cache_doc(gens: GeneratorSet) -> dict:
+    """The symbol of a set as a cache document: its finite vertex
+    denominators and its labels coded as ints.  Level 1 has no symbol."""
+    doc = {"construction": CONSTRUCTION, "level": gens.level}
+    if gens.symbol is not None:
+        doc["denominators"] = [q for _, q in gens.symbol.vertices[1:-1]]
+        doc["labels"] = [_LABEL_CODES.get(label, label[-1]) for label in gens.symbol.pairings]
+    return doc
+
+
+def _symbol_from_cache_doc(doc: dict, n: int) -> FareySymbol:
+    """The level-n symbol a cache document codes, with all of its checks.
+
+    The first finite vertex has numerator 0, and each next numerator follows
+    by adjacency, p' = (1 + p q') / q, which must divide exactly.  Every
+    denominator is checked to be a positive int before any division, so no
+    ZeroDivisionError, which the loader does not catch, can arise.  Raises
+    ValueError, LookupError or TypeError on a document ``_cache_doc`` cannot
+    have written.
+    """
+    denominators, codes = doc["denominators"], doc["labels"]
+    # each list holds ints and nothing else (bool is a subclass of int)
+    if {*map(type, denominators)} != {int} or min(denominators) < 1:
+        raise ValueError(f"cache for level {n} has a denominator that is not a positive integer")
+    if {*map(type, codes)} != {int} or min(codes) < -2:
+        raise ValueError(f"cache for level {n} has a malformed label code")
+    p, q = 0, denominators[0]
+    vertices = [(-1, 0), (p, q)]
+    for q_next in denominators[1:]:
+        p, rest = divmod(1 + p * q_next, q)
+        if rest:
+            raise ValueError(f"cache for level {n} has non-adjacent denominators")
+        q = q_next
+        vertices.append((p, q))
+    vertices.append((1, 0))
+    labels = [_CODE_LABELS[c] if c < 0 else ("free", c) for c in codes]
+    return FareySymbol(n, tuple(vertices), tuple(labels))
+
+
 def generator_set_to_json(gens: GeneratorSet) -> dict:
+    """The whole set as the JSON document ``generators`` prints.
+
+    This is the construction-2 cache document, kept byte for byte: the three
+    generator lists and the symbol's vertices and labels, tagged 2.
+    """
     doc = {
-        "construction": CONSTRUCTION,
+        "construction": 2,
         "level": gens.level,
         "free": [list(g.entries()) for g in gens.free],
         "elliptic2": [list(g.entries()) for g in gens.elliptic2],
@@ -439,36 +491,16 @@ def generator_set_to_json(gens: GeneratorSet) -> dict:
     return doc
 
 
-def generator_set_from_json(doc: dict) -> GeneratorSet:
-    if not isinstance(doc, dict) or doc.get("construction") != CONSTRUCTION:
-        raise ValueError(f"cache document is not from construction {CONSTRUCTION}")
-    n = doc["level"]
-    if type(n) is not int:
-        raise ValueError(f"cache level must be an integer, got {n!r}")
-    if doc.get("farey") is None:
-        if n != 1:
-            raise ValueError(f"cache for level {n} has no Farey symbol")
-        gens = _LEVEL_ONE
-    else:
-        vertices = tuple(tuple(v) for v in doc["farey"]["vertices"])
-        if not all(type(x) is int for v in vertices for x in v):
-            raise ValueError(f"cache for level {n} has non-integer vertices")
-        symbol = FareySymbol(
-            n,
-            vertices,
-            tuple(tuple(label) for label in doc["farey"]["pairings"]),
-        )
-        gens = _extract_generators(symbol)
-    for kind in ("free", "elliptic2", "elliptic3"):
-        if [g.entries() for g in getattr(gens, kind)] != [tuple(m) for m in doc[kind]]:
-            raise ValueError(f"cache for level {n} disagrees with its Farey symbol")
-    return gens
-
-
 def save_cached_generators(gens: GeneratorSet, cache_dir: str) -> None:
     """Write the level's file through a temporary one; the directory is
-    made only when it is missing."""
-    payload = json.dumps(generator_set_to_json(gens), sort_keys=True)
+    made only when it is missing.
+
+    The file holds the level and, for N >= 2, only the Farey symbol: its
+    finite vertex denominators and its labels coded as ints (-1 Even,
+    -2 Odd, the pair id for a Free side).  The generators are rebuilt from
+    it on every read.
+    """
+    payload = json.dumps(_cache_doc(gens), sort_keys=True)
     try:
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     except FileNotFoundError:
@@ -484,16 +516,26 @@ def save_cached_generators(gens: GeneratorSet, cache_dir: str) -> None:
 
 
 def load_cached_generators(n: int, cache_dir: str) -> GeneratorSet | None:
-    """The cached generator set for level n, or None when the file is missing,
-    holds a document for another level, or fails any of the checks in
-    ``generator_set_from_json``.  It never builds a Farey symbol."""
+    """The cached generator set for level n, or None for a miss.
+
+    A miss is a missing or unreadable file, a document from another
+    construction or for another level, or a symbol that fails a check: the
+    numerators rebuilt from the denominators (``_symbol_from_cache_doc``),
+    ``FareySymbol``'s checks and those of ``_extract_generators``.  Level 1
+    must hold exactly the document with no symbol.  It never builds a Farey
+    symbol.
+    """
     path = _cache_path(cache_dir, n)
     try:
         with open(path) as handle:
             doc = json.load(handle)
-        if not isinstance(doc, dict) or doc.get("level") != n:
+        if type(doc) is not dict or doc.get("construction") != CONSTRUCTION:
             return None
-        return generator_set_from_json(doc)
+        if type(doc.get("level")) is not int or doc["level"] != n:
+            return None
+        if n == 1:
+            return _LEVEL_ONE if doc == _cache_doc(_LEVEL_ONE) else None
+        return _extract_generators(_symbol_from_cache_doc(doc, n))
     except (OSError, ValueError, LookupError, TypeError, RuntimeError):
         return None
 

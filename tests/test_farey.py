@@ -25,7 +25,6 @@ from gamma0char.farey import (
     decompose,
     exponent_sum,
     farey_symbol,
-    generator_set_from_json,
     generator_set_to_json,
     generators,
     index_gamma0,
@@ -144,17 +143,18 @@ def test_symbol_chain_must_run_from_0_to_1(tmp_path):
     for bad in (((-1, 0), (0, 1), (1, 1), (2, 1)), ((-1, 1), (0, 1), (1, 1), (1, 0))):
         with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
             FareySymbol(2, bad, pairings)
-    # the generators that symbol gives, written as a cache file for level 2
-    expected = generator_set_to_json(build_generators(2))
-    doc = dict(expected, elliptic2=[[3, -5, 2, -3]])
-    doc["farey"] = {"vertices": vertices, "pairings": pairings}  # json writes tuples as lists
+    # a cache file cannot start the chain elsewhere: its numerators are
+    # rebuilt from 0/1, so it can only carry on past 1/1, to 2/1
+    doc = dict(farey._cache_doc(build_generators(2)), denominators=[1, 1, 1], labels=[0, -1, -1, 0])
+    with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
+        farey._symbol_from_cache_doc(doc, 2)
     path = tmp_path / "gamma0-generators-2.json"
     path.write_text(json.dumps(doc))
     assert load_cached_generators(2, str(tmp_path)) is None
     farey._memo.pop(2, None)  # as in a fresh process
     gens = generators(2, str(tmp_path))
-    assert generator_set_to_json(gens) == expected
-    assert json.loads(path.read_text()) == expected
+    assert gens == build_generators(2)
+    assert json.loads(path.read_text()) == farey._cache_doc(gens)
 
 
 def test_symbol_vertex_denominators_stay_below_the_level():
@@ -386,7 +386,7 @@ def test_level_memoised_without_a_directory_is_written_with_one(tmp_path):
     assert farey._memo[19] is gens
     assert generators(19, str(tmp_path)) is gens
     path = tmp_path / "gamma0-generators-19.json"
-    assert json.loads(path.read_text()) == generator_set_to_json(gens)
+    assert json.loads(path.read_text()) == farey._cache_doc(gens)
 
 
 def _relabelled(symbol, labels):
@@ -948,94 +948,167 @@ def test_cache_roundtrip(tmp_path):
     assert loaded.symbol == gens.symbol
 
 
+def _construction2_generator_set(doc):
+    """The construction-2 cache loader, frozen as it read a whole-set
+    document: the symbol checked and extracted, then the three stored
+    generator lists compared with the extracted ones."""
+    if not isinstance(doc, dict) or doc.get("construction") != 2:
+        raise ValueError("cache document is not from construction 2")
+    n = doc["level"]
+    if type(n) is not int:
+        raise ValueError(f"cache level must be an integer, got {n!r}")
+    if doc.get("farey") is None:
+        if n != 1:
+            raise ValueError(f"cache for level {n} has no Farey symbol")
+        gens = build_generators(1)
+    else:
+        vertices = tuple(tuple(v) for v in doc["farey"]["vertices"])
+        if not all(type(x) is int for v in vertices for x in v):
+            raise ValueError(f"cache for level {n} has non-integer vertices")
+        symbol = FareySymbol(
+            n,
+            vertices,
+            tuple(tuple(label) for label in doc["farey"]["pairings"]),
+        )
+        gens = farey._extract_generators(symbol)
+    for kind in ("free", "elliptic2", "elliptic3"):
+        if [g.entries() for g in getattr(gens, kind)] != [tuple(m) for m in doc[kind]]:
+            raise ValueError(f"cache for level {n} disagrees with its Farey symbol")
+    return gens
+
+
+def test_symbol_only_cache_agrees_with_a_build_and_the_construction2_loader(tmp_path):
+    for n in range(2, 301):
+        built = build_generators(n)
+        save_cached_generators(built, str(tmp_path))
+        loaded = load_cached_generators(n, str(tmp_path))
+        # dataclass equality compares every field, symbol and side_rules too
+        assert loaded == built, n
+        whole = json.loads(json.dumps(generator_set_to_json(built)))
+        assert _construction2_generator_set(whole) == loaded, n
+
+
 def test_cache_json_schema():
-    doc = generator_set_to_json(generators(10))
-    assert set(doc) == {"construction", "level", "free", "elliptic2", "elliptic3", "farey"}
-    assert doc["construction"] == farey.CONSTRUCTION
+    doc = farey._cache_doc(generators(10))
+    assert set(doc) == {"construction", "level", "denominators", "labels"}
+    assert doc["construction"] == farey.CONSTRUCTION == 3
     assert doc["level"] == 10
-    assert all(len(m) == 4 for m in doc["free"])
-    assert {"vertices", "pairings"} <= set(doc["farey"])
+    # 0/1, 1/3, 2/5, 1/2, 3/5, 2/3, 1/1 with sides Even, 2, 1, 1, 2, Even
+    # between the boundary pair 0
+    symbol = generators(10).symbol
+    assert doc["denominators"] == [q for _, q in symbol.vertices[1:-1]] == [1, 3, 5, 2, 5, 3, 1]
+    assert symbol.pairings[1] == EVEN
+    assert doc["labels"] == [0, -1, 2, 1, 1, 2, -1, 0]
+    assert farey._cache_doc(generators(1)) == {"construction": 3, "level": 1}
     # documents round-trip through plain JSON text
-    again = generator_set_from_json(json.loads(json.dumps(doc)))
-    assert again.free == generators(10).free
+    again = farey._symbol_from_cache_doc(json.loads(json.dumps(doc)), 10)
+    assert again == symbol
+    # the document ``generators`` prints keeps the construction-2 shape
+    whole = generator_set_to_json(generators(10))
+    assert set(whole) == {"construction", "level", "free", "elliptic2", "elliptic3", "farey"}
+    assert whole["construction"] == 2
 
 
 def test_cache_rejects_corruption(tmp_path):
-    doc = generator_set_to_json(generators(6))
-    doc["free"][1] = [1, 0, 0, 1]
-    with pytest.raises(ValueError):
-        generator_set_from_json(doc)
-    for bad, shown in (("6", "'6'"), (6.0, "6.0"), (True, "True")):
-        doc = generator_set_to_json(generators(6))
-        doc["level"] = bad
-        with pytest.raises(ValueError, match=rf"^cache level must be an integer, got {shown}$"):
-            generator_set_from_json(doc)
+    doc = farey._cache_doc(generators(13))
+    assert doc["denominators"] == [1, 3, 2, 3, 1]
+    assert doc["labels"] == [0, -2, -1, -1, -2, 0]
+    # 0/1, 1/3, then (1 + 1 * 4) / 3 does not divide
+    with pytest.raises(ValueError, match=r"^cache for level 13 has non-adjacent denominators$"):
+        farey._symbol_from_cache_doc(dict(doc, denominators=[1, 3, 4, 3, 1]), 13)
+    # 0 is rejected before the next step divides by it, and True would pass
+    # every other check as the first denominator
+    for denominators in (
+        [1, 3, 0, 3, 1],
+        [1, 3, -2, 3, 1],
+        [True, 3, 2, 3, 1],
+        [1.0, 3, 2, 3, 1],
+        [1, 3, "2", 3, 1],
+    ):
+        with pytest.raises(ValueError, match=r"has a denominator that is not a positive integer$"):
+            farey._symbol_from_cache_doc(dict(doc, denominators=denominators), 13)
+    for bad in (-3, -1.0, True, "0"):
+        with pytest.raises(ValueError, match=r"^cache for level 13 has a malformed label code$"):
+            farey._symbol_from_cache_doc(dict(doc, labels=[0, bad, -1, -1, -2, 0]), 13)
+    path = tmp_path / "gamma0-generators-13.json"
+    for bad in ("13", 13.0):
+        path.write_text(json.dumps(dict(doc, level=bad)))
+        assert load_cached_generators(13, str(tmp_path)) is None
+    # True == 1, so only the level's type tells this from level 1's document
+    level_one = {"construction": farey.CONSTRUCTION, "level": True}
+    (tmp_path / "gamma0-generators-1.json").write_text(json.dumps(level_one))
+    assert load_cached_generators(1, str(tmp_path)) is None
 
 
 def test_cache_with_swapped_boundary_id_is_rebuilt(tmp_path):
-    expected = generator_set_to_json(build_generators(11))
-    swapped = json.loads(json.dumps(expected))
-    swap = {0: 1, 1: 0}
-    swapped["farey"]["pairings"] = [[k, swap.get(i, i)] for k, i in expected["farey"]["pairings"]]
-    assert swapped["farey"]["pairings"][0] == ["free", 1]
-    assert swapped["farey"]["pairings"][1] == ["free", 0]
+    expected = farey._cache_doc(build_generators(11))
+    assert expected["labels"] == [0, 1, 2, 1, 2, 0]
+    swapped = dict(expected, labels=[1, 0, 2, 0, 2, 1])
     path = tmp_path / "gamma0-generators-11.json"
     path.write_text(json.dumps(swapped))
     assert load_cached_generators(11, str(tmp_path)) is None
     farey._memo.pop(11, None)  # as in a fresh process
     gens = generators(11, str(tmp_path))
-    assert generator_set_to_json(gens) == expected
+    assert gens == build_generators(11)
     assert json.loads(path.read_text()) == expected
 
 
+def _assert_each_file_is_rebuilt(tmp_path, n, texts):
+    """Each text, as level n's cache file, is a miss: the set is rebuilt and
+    the file rewritten as a construction-3 document."""
+    expected = farey._cache_doc(build_generators(n))
+    path = tmp_path / f"gamma0-generators-{n}.json"
+    for text in texts:
+        path.write_text(text)
+        assert load_cached_generators(n, str(tmp_path)) is None, text
+        farey._memo.pop(n, None)  # as in a fresh process
+        gens = generators(n, str(tmp_path))
+        assert gens == build_generators(n)
+        rewritten = json.loads(path.read_text())
+        assert rewritten == expected
+        assert rewritten["construction"] == 3 and "free" not in rewritten
+
+
 def test_corrupt_cache_file_is_rebuilt(tmp_path):
-    expected = generator_set_to_json(build_generators(11))
-    bad_pairings = json.loads(json.dumps(expected))
-    bad_pairings["farey"]["pairings"][1] = ["free", 99]
-    float_vertices = json.loads(json.dumps(expected))
-    float_vertices["farey"]["vertices"][1] = [0.0, 1]
-    assert expected["farey"]["pairings"][1] == ["free", 1]
-    bad_labels = []
-    for label in (["free", 1, 2], ["free", 1.0], ["free", True]):
-        doc = json.loads(json.dumps(expected))
-        doc["farey"]["pairings"][1] = label
-        bad_labels.append(json.dumps(doc))
-    untagged = json.loads(json.dumps(expected))
+    expected = farey._cache_doc(build_generators(13))
+    text = json.dumps(expected)
+    untagged = dict(expected)
     del untagged["construction"]
+    other = farey._cache_doc(build_generators(17))
     corruptions = [
-        "{\"level\": 11}",
+        "{\"level\": 13}",
         "not json",
         "[]",
-        json.dumps(bad_pairings),
-        json.dumps(float_vertices),
+        text[: len(text) // 2],  # truncated
+        json.dumps({"construction": 3, "level": 13}),  # no symbol
         json.dumps(untagged),
         json.dumps(dict(expected, construction=1)),
-        *bad_labels,
-        json.dumps(generator_set_to_json(build_generators(13))),
+        json.dumps(generator_set_to_json(build_generators(13))),  # construction 2
+        json.dumps(other),  # level 17's file
+        json.dumps(dict(other, level=13)),  # level 17's symbol tagged 13
+        json.dumps(dict(expected, denominators=[])),
+        json.dumps(dict(expected, denominators=[1, 3, 4, 3, 1])),  # does not divide
+        json.dumps(dict(expected, labels=[0, -2, 7, -1, -2, 0])),  # id 7 occurs once
     ]
-    path = tmp_path / "gamma0-generators-11.json"
-    for text in corruptions:
-        path.write_text(text)
-        assert load_cached_generators(11, str(tmp_path)) is None
-        farey._memo.pop(11, None)  # as in a fresh process
-        gens = generators(11, str(tmp_path))
-        assert generator_set_to_json(gens) == expected
-        assert json.loads(path.read_text()) == expected
+    for bad in (0, -2, True, 1.5, "2"):
+        corruptions.append(json.dumps(dict(expected, denominators=[1, 3, bad, 3, 1])))
+    corruptions.append(json.dumps(dict(expected, denominators=[True, 3, 2, 3, 1])))
+    for bad in (-3, -1.0, True, [0], None):
+        corruptions.append(json.dumps(dict(expected, labels=[0, -2, bad, -1, -2, 0])))
+    _assert_each_file_is_rebuilt(tmp_path, 13, corruptions)
 
 
 def test_cache_with_corrupt_elliptic_lists_is_rebuilt(tmp_path):
-    expected = generator_set_to_json(build_generators(13))
-    assert expected["elliptic2"] and expected["elliptic3"]
-    path = tmp_path / "gamma0-generators-13.json"
-    corruptions = [{"elliptic2": [[1, 0, 0, 1]] + expected["elliptic2"][1:]}, {"elliptic3": []}]
-    corruptions.append({**corruptions[0], **corruptions[1]})
-    for change in corruptions:
-        path.write_text(json.dumps(dict(expected, **change)))
-        assert load_cached_generators(13, str(tmp_path)) is None
-        farey._memo.pop(13, None)  # as in a fresh process
-        gens = generators(13, str(tmp_path))
-        assert generator_set_to_json(gens) == expected
-        assert json.loads(path.read_text()) == expected
+    expected = farey._cache_doc(build_generators(13))
+    assert expected["labels"] == [0, -2, -1, -1, -2, 0]
+    # swapping an Even and an Odd label keeps the counts, and every check
+    # but the generators' level rejects the symbol
+    swapped = [0, -1, -2, -1, -2, 0]
+    with pytest.raises(RuntimeError, match=r"^generator \(3, -1, 10, -3\) escapes level 13$"):
+        farey._extract_generators(farey._symbol_from_cache_doc(dict(expected, labels=swapped), 13))
+    relabelled = [swapped, [0, -1, -1, -1, -1, 0], [0, -2, -2, -2, -2, 0]]
+    texts = [json.dumps(dict(expected, labels=labels)) for labels in relabelled]
+    _assert_each_file_is_rebuilt(tmp_path, 13, texts)
 
 
 def test_cache_writes_make_the_directory_only_when_missing(tmp_path, monkeypatch):
@@ -1063,11 +1136,11 @@ def test_cache_loader_never_builds(tmp_path, monkeypatch):
     def refuse_to_build(n):
         raise AssertionError(f"the cache loader built level {n}")
 
-    other_level = dict(generator_set_to_json(build_generators(11)), level=3000, farey=None)
+    other_level = dict(farey._cache_doc(build_generators(11)), level=3000)
     (tmp_path / "gamma0-generators-11.json").write_text(json.dumps(other_level))
-    expected13 = generator_set_to_json(build_generators(13))
+    expected13 = farey._cache_doc(build_generators(13))
     path13 = tmp_path / "gamma0-generators-13.json"
-    path13.write_text(json.dumps(dict(expected13, farey=None)))
+    path13.write_text(json.dumps({"construction": farey.CONSTRUCTION, "level": 13}))
     level_one = build_generators(1)
     save_cached_generators(level_one, str(tmp_path))
     with monkeypatch.context() as patch:
@@ -1075,8 +1148,8 @@ def test_cache_loader_never_builds(tmp_path, monkeypatch):
         assert load_cached_generators(11, str(tmp_path)) is None
         assert load_cached_generators(13, str(tmp_path)) is None
         loaded = load_cached_generators(1, str(tmp_path))
-    assert generator_set_to_json(loaded) == generator_set_to_json(level_one)
+    assert loaded is level_one
     farey._memo.pop(13, None)  # as in a fresh process
     gens = generators(13, str(tmp_path))
-    assert generator_set_to_json(gens) == expected13
+    assert gens == build_generators(13)
     assert json.loads(path13.read_text()) == expected13

@@ -4,9 +4,12 @@
 are as reproducible as the seeded ones; no example database is kept.
 """
 
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 from random import Random
 
 from hypothesis import assume, given, settings
@@ -200,3 +203,27 @@ def test_cache_save_then_load_roundtrip(n):
         gens.elliptic3,
     )
     assert loaded.symbol == gens.symbol
+
+
+def test_a_failing_property_is_reported_as_one_failure(tmp_path):
+    # run under this repository's pytest settings, where warnings are errors:
+    # Hypothesis's report of a failure must not end the run in INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n > 0\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_fails.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed" in run.stdout
