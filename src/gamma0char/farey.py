@@ -45,7 +45,6 @@ import json
 import os
 import tempfile
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
@@ -113,13 +112,15 @@ class FareySymbol:
         boundary = ("free", 0)
         if boundary != self.pairings[0] or boundary != self.pairings[-1]:
             raise ValueError("the two boundary sides must carry the pair label ('free', 0)")
-        for label, count in Counter(self.pairings).items():
-            if label != EVEN and label != ODD:
+        seen: dict[int, int] = {}
+        for label in self.pairings:
+            if label not in (EVEN, ODD):
                 if len(label) != 2 or label[0] != "free" or type(label[1]) is not int:
                     raise ValueError(f"malformed pairing label {label!r}")
-                if count != 2:
-                    # with the boundary check this also keeps id 0 off interior sides
-                    raise ValueError("every free pair id must occur exactly twice")
+                seen[label[1]] = seen.get(label[1], 0) + 1
+        if any(count != 2 for count in seen.values()):
+            # with the boundary check this also keeps id 0 off interior sides
+            raise ValueError("every free pair id must occur exactly twice")
 
     def counts(self) -> tuple[int, int, int]:
         """(free pairs, even sides, odd sides) = (r, e2, e3)."""

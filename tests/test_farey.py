@@ -125,6 +125,20 @@ def test_symbol_invariants_reject_bad_data():
     ]:
         with pytest.raises(ValueError, match=message):
             FareySymbol(11, v11, tuple(("free", i) for i in ids))
+    # a free label holds the exact int id: 1.0 and True equal 1, and False
+    # equals 0, so each is caught as the first or as the second of its pair
+    for side, label in [
+        (1, ("free", 1, 2)),
+        (1, ("free", 1.0)),
+        (1, ("free", True)),
+        (3, ("free", 1.0)),
+        (3, ("free", True)),
+        (5, ("free", False)),
+    ]:
+        labels = [("free", i) for i in (0, 1, 2, 1, 2, 0)]
+        labels[side] = label
+        with pytest.raises(ValueError, match=r"^malformed pairing label "):
+            FareySymbol(11, v11, tuple(labels))
     # a chain without finite vertices has no sides to label
     with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
         FareySymbol(2, ((-1, 0),), ())
