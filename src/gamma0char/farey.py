@@ -33,17 +33,19 @@ reads a second table, ref -> (generator, inverse).  Both are built on first
 use and kept on the set; extraction alone, which is all the scans need,
 builds neither.
 
-The disk cache keeps one file per level holding only the symbol: the finite
-vertex denominators and the labels coded as ints.  A read rebuilds the
-numerators by adjacency and extracts the generators again, through every
-check a fresh build runs; only the construction is skipped.
+The disk cache is one append-only log per directory, one record per level
+written, holding only the symbol: the finite vertex denominators and the
+labels coded as ints.  A process keeps an index of the log, each level's
+last record by byte offset, and brings it up to date only when a level is
+not in it.  A read rebuilds the numerators by adjacency and extracts the
+generators again, through every check a fresh build runs; only the
+construction is skipped.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -396,8 +398,9 @@ def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
     one level return the same object, and a scan over levels keeps one set
     in memory.  The memo also holds the cache directory its set was read
     from or written to, so a hit makes no file-system call.  Asked for with
-    any other cache directory, the set is written there once, which also
-    replaces a missing or corrupt file.
+    any other cache directory, the set's record is appended to that
+    directory's log once; a level whose record is missing or corrupt is
+    rebuilt and so gets a fresh record, which later reads find.
     """
     global _memo_dir
     cache_dir = cache_dir or _default_cache_dir
@@ -415,20 +418,25 @@ def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
 
 
 # ---------------------------------------------------------------------------
-# disk cache (whole-file JSON per level, last-writer-wins)
+# disk cache (one append-only log per directory, a level's last record wins)
 
-# Version of the Farey construction, and of the cache document, a cache file
-# was written by; a file from any other is a miss, so one cache never mixes
-# two of them.
+# Version of the Farey construction, and of the cache document, a cache
+# record was written by; a record from any other is a miss, so one cache
+# never mixes two of them.
 CONSTRUCTION = 3
 
-# pairing label -> its code in a cache file; a Free label is coded by its pair id
+# pairing label -> its code in a cache record; a Free label is coded by its pair id
 _LABEL_CODES = {EVEN: -1, ODD: -2}
 _CODE_LABELS = {code: label for label, code in _LABEL_CODES.items()}
 
 
-def _cache_path(cache_dir: str, n: int) -> str:
-    return os.path.join(cache_dir, f"gamma0-generators-{n}.json")
+def _cache_path(cache_dir: str) -> str:
+    return os.path.join(cache_dir, "gamma0-generators.log")
+
+
+# cache directory -> ({level: offset of the level's last record seen in the
+# log}, bytes of the log scanned); integers only, never record text
+_log_index: dict[str, tuple[dict[int, int], int]] = {}
 
 
 def _cache_doc(gens: GeneratorSet) -> dict:
@@ -493,52 +501,104 @@ def generator_set_to_json(gens: GeneratorSet) -> dict:
 
 
 def save_cached_generators(gens: GeneratorSet, cache_dir: str) -> None:
-    """Write the level's file through a temporary one; the directory is
-    made only when it is missing.
+    """Append the level's record to the directory's log with one write; the
+    directory is made only when it is missing.
 
-    The file holds the level and, for N >= 2, only the Farey symbol: its
-    finite vertex denominators and its labels coded as ints (-1 Even,
-    -2 Odd, the pair id for a Free side).  The generators are rebuilt from
-    it on every read.
+    The record is a newline, the level and a space, then the level's cache
+    document as one line of JSON: the level and, for N >= 2, only the Farey
+    symbol, as its finite vertex denominators and its labels coded as ints
+    (-1 Even, -2 Odd, the pair id for a Free side).  The generators are
+    rebuilt from it on every read.  The leading newline keeps a record torn
+    by a failed write on a line of its own, where it reads as a miss.
     """
-    payload = json.dumps(_cache_doc(gens), sort_keys=True)
+    record = f"\n{gens.level} {json.dumps(_cache_doc(gens), sort_keys=True)}".encode()
+    path = _cache_path(cache_dir)
+    flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
     try:
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        fd = os.open(path, flags, 0o666)
     except FileNotFoundError:
         os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        fd = os.open(path, flags, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, _cache_path(cache_dir, gens.level))
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        if os.write(fd, record) != len(record):
+            raise OSError(f"short write to {path}")
+    finally:
+        os.close(fd)
+
+
+def _index_log(log, cache_dir: str) -> dict[int, int]:
+    """The directory's index brought up to the end of its open log.
+
+    Lines are read from the last byte scanned, and each one that starts with
+    a run of digits and a space is indexed under that level at its offset; a
+    later record of a level replaces an earlier one.  The scan counts only
+    lines a newline ends, so the last line, which may still be being
+    written, is read again from its start next time, and no scan starts
+    inside a line.  A log shorter than the bytes already scanned was deleted
+    or replaced, and is indexed afresh.
+    """
+    offsets, scanned = _log_index.get(cache_dir, ({}, 0))
+    if os.fstat(log.fileno()).st_size < scanned:
+        offsets, scanned = {}, 0
+    log.seek(scanned)
+    position = scanned
+    for line in log:
+        header, space, _ = line.partition(b" ")
+        # no level written here has 19 digits, and int() refuses very long runs
+        if space and header.isdigit() and len(header) < 19:
+            offsets[int(header)] = position
+        position += len(line)
+        if line.endswith(b"\n"):
+            scanned = position
+    _log_index[cache_dir] = offsets, scanned
+    return offsets
+
+
+def _generators_from_record(record: bytes, n: int) -> GeneratorSet | None:
+    """The set a log record codes for level n, None if it is not n's record;
+    raises on a document ``_cache_doc`` cannot have written."""
+    header, _, text = record.partition(b" ")
+    if header != b"%d" % n:
+        return None
+    doc = json.loads(text)
+    if type(doc) is not dict or doc.get("construction") != CONSTRUCTION:
+        return None
+    if type(doc.get("level")) is not int or doc["level"] != n:
+        return None
+    if n == 1:
+        return _LEVEL_ONE if doc == _cache_doc(_LEVEL_ONE) else None
+    return _extract_generators(_symbol_from_cache_doc(doc, n))
 
 
 def load_cached_generators(n: int, cache_dir: str) -> GeneratorSet | None:
     """The cached generator set for level n, or None for a miss.
 
-    A miss is a missing or unreadable file, a document from another
-    construction or for another level, or a symbol that fails a check: the
+    The level's record is found through the directory's index, which is
+    brought up to the end of the log when it has no entry for n.  A miss is
+    a missing or unreadable log, no record for n, or a record whose header
+    is not n, whose text is not JSON, whose document is from another
+    construction or for another level, or whose symbol fails a check: the
     numerators rebuilt from the denominators (``_symbol_from_cache_doc``),
     ``FareySymbol``'s checks and those of ``_extract_generators``.  Level 1
-    must hold exactly the document with no symbol.  It never builds a Farey
-    symbol.
+    must hold exactly the document with no symbol.  A record that misses
+    leaves the index, so the next load of n reads on to a newer one.  It
+    never builds a Farey symbol.
     """
-    path = _cache_path(cache_dir, n)
+    offsets = _log_index.get(cache_dir, ({}, 0))[0]
     try:
-        with open(path) as handle:
-            doc = json.load(handle)
-        if type(doc) is not dict or doc.get("construction") != CONSTRUCTION:
-            return None
-        if type(doc.get("level")) is not int or doc["level"] != n:
-            return None
-        if n == 1:
-            return _LEVEL_ONE if doc == _cache_doc(_LEVEL_ONE) else None
-        return _extract_generators(_symbol_from_cache_doc(doc, n))
+        with open(_cache_path(cache_dir), "rb") as log:
+            if n not in offsets:
+                offsets = _index_log(log, cache_dir)
+                if n not in offsets:
+                    return None
+            log.seek(offsets[n])
+            record = log.readline()
+        gens = _generators_from_record(record, n)
     except (OSError, ValueError, LookupError, TypeError, RuntimeError):
-        return None
+        gens = None
+    if gens is None:
+        offsets.pop(n, None)
+    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -397,27 +397,37 @@ def test_internal_error_exits_three_with_one_line(capsys, monkeypatch, exc):
     assert lines[0] == f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}"
 
 
+def _log_levels(cache_dir):
+    """The header of each record in the directory's generator-cache log."""
+    lines = (cache_dir / "gamma0-generators.log").read_text().split("\n")
+    assert lines[0] == ""  # every record starts with a newline
+    return [line.partition(" ")[0] for line in lines[1:]]
+
+
 def test_cache_dir_used(tmp_path, capsys):
     code, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "generators", "--level", "17")
     assert code == 0
-    assert (tmp_path / "gamma0-generators-17.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["gamma0-generators.log"]
+    assert _log_levels(tmp_path) == ["17"]
 
 
 def test_failed_cache_write_exits_two_and_leaves_no_temp_file(tmp_path, capsys):
-    (tmp_path / "gamma0-generators-17.json").mkdir()
+    # a directory in place of the log: the load misses, the append fails
+    (tmp_path / "gamma0-generators.log").mkdir()
     assert main(["--cache-dir", str(tmp_path), "generators", "--level", "17"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-    assert [p.name for p in tmp_path.iterdir()] == ["gamma0-generators-17.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["gamma0-generators.log"]
+    assert list((tmp_path / "gamma0-generators.log").iterdir()) == []
 
 
 def test_cache_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GAMMA0_CACHE_DIR", str(tmp_path))
     code, _ = run_cli(capsys, "generators", "--level", "19")
     assert code == 0
-    assert (tmp_path / "gamma0-generators-19.json").exists()
+    assert _log_levels(tmp_path) == ["19"]
 
 
 def test_module_entry_point():

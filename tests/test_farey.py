@@ -1,9 +1,12 @@
 """Farey symbols, generator sets, the measure formula, word decomposition."""
 
+import hashlib
 import heapq
 import json
 import os
 import random
+import sys
+import threading
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
@@ -157,18 +160,17 @@ def test_symbol_chain_must_run_from_0_to_1(tmp_path):
     for bad in (((-1, 0), (0, 1), (1, 1), (2, 1)), ((-1, 1), (0, 1), (1, 1), (1, 0))):
         with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
             FareySymbol(2, bad, pairings)
-    # a cache file cannot start the chain elsewhere: its numerators are
+    # a cache record cannot start the chain elsewhere: its numerators are
     # rebuilt from 0/1, so it can only carry on past 1/1, to 2/1
     doc = dict(farey._cache_doc(build_generators(2)), denominators=[1, 1, 1], labels=[0, -1, -1, 0])
     with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
         farey._symbol_from_cache_doc(doc, 2)
-    path = tmp_path / "gamma0-generators-2.json"
-    path.write_text(json.dumps(doc))
+    _append_record(tmp_path, 2, json.dumps(doc))
     assert load_cached_generators(2, str(tmp_path)) is None
-    farey._memo.pop(2, None)  # as in a fresh process
+    _as_in_a_fresh_process()
     gens = generators(2, str(tmp_path))
     assert gens == build_generators(2)
-    assert json.loads(path.read_text()) == farey._cache_doc(gens)
+    assert _log_records(tmp_path)[-1] == ("2", _record_text(gens))
 
 
 def test_symbol_vertex_denominators_stay_below_the_level():
@@ -399,8 +401,7 @@ def test_level_memoised_without_a_directory_is_written_with_one(tmp_path):
     gens = generators(19)
     assert farey._memo[19] is gens
     assert generators(19, str(tmp_path)) is gens
-    path = tmp_path / "gamma0-generators-19.json"
-    assert json.loads(path.read_text()) == farey._cache_doc(gens)
+    assert _log_records(tmp_path) == [("19", _record_text(gens))]
 
 
 def _relabelled(symbol, labels):
@@ -951,6 +952,34 @@ def test_closed_form_measure_is_integral():
         assert 6 * r == index_gamma0(n) + 6 - 3 * e2 - 4 * e3, n
 
 
+LOG_NAME = "gamma0-generators.log"
+
+
+def _record_text(gens):
+    """The JSON text of a set's cache record."""
+    return json.dumps(farey._cache_doc(gens), sort_keys=True)
+
+
+def _append_record(cache_dir, n, text):
+    """Append a record with header n and JSON text ``text`` to the log, as
+    another process, or a damaged write, would leave it."""
+    with open(cache_dir / LOG_NAME, "ab") as log:
+        log.write(f"\n{n} {text}".encode())
+
+
+def _log_records(cache_dir):
+    """(header, text) of each record in the directory's log, in order."""
+    lines = (cache_dir / LOG_NAME).read_bytes().decode().split("\n")
+    assert lines[0] == "", lines[0]  # every record starts with a newline
+    return [line.partition(" ")[::2] for line in lines[1:]]
+
+
+def _as_in_a_fresh_process():
+    """Forget the memo and every log index."""
+    farey._memo.clear()
+    farey._log_index.clear()
+
+
 def test_cache_roundtrip(tmp_path):
     gens = generators(13)
     save_cached_generators(gens, str(tmp_path))
@@ -1044,13 +1073,12 @@ def test_cache_rejects_corruption(tmp_path):
     for bad in (-3, -1.0, True, "0"):
         with pytest.raises(ValueError, match=r"^cache for level 13 has a malformed label code$"):
             farey._symbol_from_cache_doc(dict(doc, labels=[0, bad, -1, -1, -2, 0]), 13)
-    path = tmp_path / "gamma0-generators-13.json"
     for bad in ("13", 13.0):
-        path.write_text(json.dumps(dict(doc, level=bad)))
+        _append_record(tmp_path, 13, json.dumps(dict(doc, level=bad)))
         assert load_cached_generators(13, str(tmp_path)) is None
     # True == 1, so only the level's type tells this from level 1's document
     level_one = {"construction": farey.CONSTRUCTION, "level": True}
-    (tmp_path / "gamma0-generators-1.json").write_text(json.dumps(level_one))
+    _append_record(tmp_path, 1, json.dumps(level_one))
     assert load_cached_generators(1, str(tmp_path)) is None
 
 
@@ -1058,29 +1086,37 @@ def test_cache_with_swapped_boundary_id_is_rebuilt(tmp_path):
     expected = farey._cache_doc(build_generators(11))
     assert expected["labels"] == [0, 1, 2, 1, 2, 0]
     swapped = dict(expected, labels=[1, 0, 2, 0, 2, 1])
-    path = tmp_path / "gamma0-generators-11.json"
-    path.write_text(json.dumps(swapped))
+    _append_record(tmp_path, 11, json.dumps(swapped))
     assert load_cached_generators(11, str(tmp_path)) is None
-    farey._memo.pop(11, None)  # as in a fresh process
+    _as_in_a_fresh_process()
     gens = generators(11, str(tmp_path))
     assert gens == build_generators(11)
-    assert json.loads(path.read_text()) == expected
+    assert _log_records(tmp_path)[-1] == ("11", json.dumps(expected, sort_keys=True))
 
 
-def _assert_each_file_is_rebuilt(tmp_path, n, texts):
-    """Each text, as level n's cache file, is a miss: the set is rebuilt and
-    the file rewritten as a construction-3 document."""
-    expected = farey._cache_doc(build_generators(n))
-    path = tmp_path / f"gamma0-generators-{n}.json"
+def _assert_each_record_is_rebuilt(tmp_path, n, texts):
+    """Each text, as level n's last record, is a miss: the set is rebuilt
+    and one construction-3 record appended, which a fresh process reads
+    back.  Followed by a good record of n, the text is passed over."""
+    built = build_generators(n)
+    expected = _record_text(built)
     for text in texts:
-        path.write_text(text)
+        _append_record(tmp_path, n, text)
+        _as_in_a_fresh_process()
         assert load_cached_generators(n, str(tmp_path)) is None, text
-        farey._memo.pop(n, None)  # as in a fresh process
-        gens = generators(n, str(tmp_path))
-        assert gens == build_generators(n)
-        rewritten = json.loads(path.read_text())
-        assert rewritten == expected
+        count = len(_log_records(tmp_path))
+        assert generators(n, str(tmp_path)) == built
+        records = _log_records(tmp_path)
+        assert len(records) == count + 1 and records[-1] == (str(n), expected)
+        rewritten = json.loads(records[-1][1])
         assert rewritten["construction"] == 3 and "free" not in rewritten
+        _as_in_a_fresh_process()
+        assert load_cached_generators(n, str(tmp_path)) == built
+        # the corrupt record followed by a good one
+        _append_record(tmp_path, n, text)
+        _append_record(tmp_path, n, expected)
+        _as_in_a_fresh_process()
+        assert load_cached_generators(n, str(tmp_path)) == built, text
 
 
 def test_corrupt_cache_file_is_rebuilt(tmp_path):
@@ -1098,7 +1134,7 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
         json.dumps(untagged),
         json.dumps(dict(expected, construction=1)),
         json.dumps(generator_set_to_json(build_generators(13))),  # construction 2
-        json.dumps(other),  # level 17's file
+        json.dumps(other),  # level 17's record
         json.dumps(dict(other, level=13)),  # level 17's symbol tagged 13
         json.dumps(dict(expected, denominators=[])),
         json.dumps(dict(expected, denominators=[1, 3, 4, 3, 1])),  # does not divide
@@ -1109,7 +1145,7 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path):
     corruptions.append(json.dumps(dict(expected, denominators=[True, 3, 2, 3, 1])))
     for bad in (-3, -1.0, True, [0], None):
         corruptions.append(json.dumps(dict(expected, labels=[0, -2, bad, -1, -2, 0])))
-    _assert_each_file_is_rebuilt(tmp_path, 13, corruptions)
+    _assert_each_record_is_rebuilt(tmp_path, 13, corruptions)
 
 
 def test_cache_with_corrupt_elliptic_lists_is_rebuilt(tmp_path):
@@ -1122,7 +1158,7 @@ def test_cache_with_corrupt_elliptic_lists_is_rebuilt(tmp_path):
         farey._extract_generators(farey._symbol_from_cache_doc(dict(expected, labels=swapped), 13))
     relabelled = [swapped, [0, -1, -1, -1, -1, 0], [0, -2, -2, -2, -2, 0]]
     texts = [json.dumps(dict(expected, labels=labels)) for labels in relabelled]
-    _assert_each_file_is_rebuilt(tmp_path, 13, texts)
+    _assert_each_record_is_rebuilt(tmp_path, 13, texts)
 
 
 def test_cache_writes_make_the_directory_only_when_missing(tmp_path, monkeypatch):
@@ -1138,12 +1174,13 @@ def test_cache_writes_make_the_directory_only_when_missing(tmp_path, monkeypatch
     for n in range(2, 30):
         save_cached_generators(build_generators(n), str(tmp_path))
     assert made == []
-    assert len(list(tmp_path.iterdir())) == 28
+    assert [p.name for p in tmp_path.iterdir()] == [LOG_NAME]
+    assert [level for level, _ in _log_records(tmp_path)] == [str(n) for n in range(2, 30)]
     nested = tmp_path / "a" / "b"
     save_cached_generators(build_generators(13), str(nested))
     assert made == ["makedirs"]
     assert load_cached_generators(13, str(nested)).free == build_generators(13).free
-    assert [p.name for p in nested.iterdir()] == ["gamma0-generators-13.json"]
+    assert [p.name for p in nested.iterdir()] == [LOG_NAME]
 
 
 def test_cache_loader_never_builds(tmp_path, monkeypatch):
@@ -1151,10 +1188,9 @@ def test_cache_loader_never_builds(tmp_path, monkeypatch):
         raise AssertionError(f"the cache loader built level {n}")
 
     other_level = dict(farey._cache_doc(build_generators(11)), level=3000)
-    (tmp_path / "gamma0-generators-11.json").write_text(json.dumps(other_level))
-    expected13 = farey._cache_doc(build_generators(13))
-    path13 = tmp_path / "gamma0-generators-13.json"
-    path13.write_text(json.dumps({"construction": farey.CONSTRUCTION, "level": 13}))
+    _append_record(tmp_path, 11, json.dumps(other_level))
+    expected13 = _record_text(build_generators(13))
+    _append_record(tmp_path, 13, json.dumps({"construction": farey.CONSTRUCTION, "level": 13}))
     level_one = build_generators(1)
     save_cached_generators(level_one, str(tmp_path))
     with monkeypatch.context() as patch:
@@ -1163,7 +1199,176 @@ def test_cache_loader_never_builds(tmp_path, monkeypatch):
         assert load_cached_generators(13, str(tmp_path)) is None
         loaded = load_cached_generators(1, str(tmp_path))
     assert loaded is level_one
-    farey._memo.pop(13, None)  # as in a fresh process
+    _as_in_a_fresh_process()
     gens = generators(13, str(tmp_path))
     assert gens == build_generators(13)
-    assert json.loads(path13.read_text()) == expected13
+    assert _log_records(tmp_path)[-1] == ("13", expected13)
+
+
+def _frozen_per_level_file_text(gens):
+    """The text of level N's file ``gamma0-generators-N.json`` as the
+    one-file-per-level cache wrote it, frozen: the oracle for the JSON text
+    of each log record."""
+    doc = {"construction": 3, "level": gens.level}
+    if gens.symbol is not None:
+        doc["denominators"] = [q for _, q in gens.symbol.vertices[1:-1]]
+        codes = {EVEN: -1, ODD: -2}
+        doc["labels"] = [codes.get(label, label[-1]) for label in gens.symbol.pairings]
+    return json.dumps(doc, sort_keys=True)
+
+
+# sha256 of the texts of the files gamma0-generators-N.json, 2 <= N <= 300,
+# joined by newlines, as the one-file-per-level cache wrote them
+PER_LEVEL_FILES_SHA256 = "81bc2b4ea03d351908a85a64531a7b7889f07614dcc66b80ff29df1928ab6d80"
+
+
+def test_log_records_match_the_per_level_files_and_reload_without_a_build(tmp_path, monkeypatch):
+    levels = range(2, 301)
+    _as_in_a_fresh_process()
+    built = {n: generators(n, str(tmp_path)) for n in levels}
+    assert [p.name for p in tmp_path.iterdir()] == [LOG_NAME]
+    records = _log_records(tmp_path)
+    assert [header for header, _ in records] == [str(n) for n in levels]
+    texts = [text for _, text in records]
+    for n, text in zip(levels, texts):
+        assert text == _frozen_per_level_file_text(built[n]), n
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == PER_LEVEL_FILES_SHA256
+
+    def refuse_to_build(n):
+        raise AssertionError(f"level {n} was built")
+
+    _as_in_a_fresh_process()
+    monkeypatch.setattr(farey, "farey_symbol", refuse_to_build)
+    for n in levels:
+        assert load_cached_generators(n, str(tmp_path)) == built[n], n
+    offsets, scanned = farey._log_index[str(tmp_path)]
+    assert sorted(offsets) == list(levels)
+    assert {*map(type, offsets), *map(type, offsets.values()), type(scanned)} == {int}
+    # the scan stops at the start of the last line, which no newline ends
+    assert scanned == offsets[300] == (tmp_path / LOG_NAME).stat().st_size - len(texts[-1]) - 4
+
+
+def test_torn_record_then_a_good_append_loads_the_good_one(tmp_path):
+    d = str(tmp_path)
+    built = build_generators(13)
+    text = _record_text(built)
+    # a write cut short: no newline ends it, and the next record's leading
+    # newline keeps it on a line of its own
+    _append_record(tmp_path, 13, text[: len(text) // 2])
+    _as_in_a_fresh_process()
+    assert load_cached_generators(13, d) is None
+    save_cached_generators(built, d)
+    assert load_cached_generators(13, d) == built  # read on past the torn record
+    _as_in_a_fresh_process()
+    assert load_cached_generators(13, d) == built
+    # a write cut inside its header indexes nothing
+    with open(tmp_path / LOG_NAME, "ab") as log:
+        log.write(b"\n1")
+    save_cached_generators(build_generators(1), d)
+    _as_in_a_fresh_process()
+    assert load_cached_generators(1, d) is build_generators(1)
+    assert _log_records(tmp_path)[-2:] == [("1", ""), ("1", _record_text(build_generators(1)))]
+
+
+def test_record_without_a_numeric_header_is_skipped(tmp_path):
+    d = str(tmp_path)
+    text = _record_text(build_generators(13))
+    for header in ("x13", "-13", "+13", "13.0", "", "1_3", "١٣", "9" * 5000):
+        _append_record(tmp_path, header, text)
+    _as_in_a_fresh_process()
+    assert load_cached_generators(13, d) is None
+    size = (tmp_path / LOG_NAME).stat().st_size
+    assert farey._log_index[d] == ({}, size - len(text) - 5001)
+    # digits with a leading zero are indexed, but the header is not "13"
+    _append_record(tmp_path, "013", text)
+    assert load_cached_generators(13, d) is None
+    save_cached_generators(build_generators(13), d)
+    assert load_cached_generators(13, d) == build_generators(13)
+
+
+def test_header_over_another_levels_document_is_a_miss(tmp_path):
+    d = str(tmp_path)
+    _append_record(tmp_path, 13, _record_text(build_generators(17)))
+    _append_record(tmp_path, 17, _record_text(build_generators(13)))
+    _as_in_a_fresh_process()
+    assert load_cached_generators(13, d) is None
+    assert load_cached_generators(17, d) is None
+    assert generators(13, d) == build_generators(13)
+    assert _log_records(tmp_path)[-1] == ("13", _record_text(build_generators(13)))
+
+
+def test_log_replaced_by_a_shorter_file_is_rebuilt(tmp_path):
+    d = str(tmp_path)
+    for n in range(2, 40):
+        save_cached_generators(build_generators(n), d)
+    _as_in_a_fresh_process()
+    assert load_cached_generators(30, d) == build_generators(30)  # indexes every record
+    scanned = farey._log_index[d][1]
+    (tmp_path / LOG_NAME).unlink()
+    _append_record(tmp_path, 17, _record_text(build_generators(17)))
+    _append_record(tmp_path, 13, _record_text(build_generators(13)))
+    assert (tmp_path / LOG_NAME).stat().st_size < scanned
+    # the stale offsets read past the end or into another record
+    for n in (13, 17, 30):
+        assert load_cached_generators(n, d) is None, n
+    # with no entry left for 13 and 17, the index is made afresh
+    assert load_cached_generators(13, d) == build_generators(13)
+    assert load_cached_generators(17, d) == build_generators(17)
+    farey._memo.clear()
+    assert generators(30, d) == build_generators(30)
+    assert [header for header, _ in _log_records(tmp_path)] == ["17", "13", "30"]
+    assert load_cached_generators(30, d) == build_generators(30)
+
+
+def test_record_appended_by_another_process_is_found_on_the_next_miss(tmp_path):
+    d = str(tmp_path)
+    save_cached_generators(build_generators(13), d)
+    _as_in_a_fresh_process()
+    assert load_cached_generators(13, d) == build_generators(13)
+    size = (tmp_path / LOG_NAME).stat().st_size
+    assert farey._log_index[d] == ({13: 1}, 1)
+    _append_record(tmp_path, 17, _record_text(build_generators(17)))
+    assert load_cached_generators(17, d) == build_generators(17)
+    assert farey._log_index[d] == ({13: 1, 17: size + 1}, size + 1)
+
+
+def test_threads_sharing_the_log_index_load_right_sets(tmp_path):
+    # the index is shared by every thread of a process; the log only grows
+    # and each scan starts at a line, so a race can lose no offset and make
+    # no entry wrong: every load is a hit
+    d = str(tmp_path)
+    for n in range(2, 41):
+        save_cached_generators(build_generators(n), d)
+    _as_in_a_fresh_process()
+    built = {n: build_generators(n) for n in range(2, 61)}
+    wrong, misses = [], []
+
+    def load_all(levels):
+        for n in levels:
+            loaded = load_cached_generators(n, d)
+            if loaded is None:
+                misses.append(n)
+            elif loaded != built[n]:
+                wrong.append(n)
+
+    def append_more():
+        for n in range(41, 61):
+            save_cached_generators(built[n], d)
+            load_all([n])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        orders = [random.Random(i).sample(range(2, 41), 39) for i in range(4)]
+        threads = [threading.Thread(target=load_all, args=(order,)) for order in orders]
+        threads.append(threading.Thread(target=append_more))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and misses == []
+    _as_in_a_fresh_process()
+    assert all(load_cached_generators(n, d) == built[n] for n in range(2, 61))

@@ -4,6 +4,8 @@
 are as reproducible as the seeded ones; no example database is kept.
 """
 
+import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -15,6 +17,7 @@ from random import Random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gamma0char import farey
 from gamma0char.charformula import KERNEL_LEVELS
 from gamma0char.exact import dedekind_sum, dedekind_sum_fast, integer_rank
 from gamma0char.farey import (
@@ -194,7 +197,11 @@ def test_cache_save_then_load_roundtrip(n):
     gens = build_generators(n)
     with tempfile.TemporaryDirectory() as cache_dir:
         save_cached_generators(gens, cache_dir)
+        log = Path(cache_dir, "gamma0-generators.log")
+        assert os.listdir(cache_dir) == [log.name]
+        assert log.read_text() == f"\n{n} {json.dumps(farey._cache_doc(gens), sort_keys=True)}"
         loaded = load_cached_generators(n, cache_dir)
+        del farey._log_index[cache_dir]  # the directory goes with the example
     assert loaded is not None
     assert loaded.counts() == gens.counts()
     assert (loaded.free, loaded.elliptic2, loaded.elliptic3) == (
@@ -203,6 +210,53 @@ def test_cache_save_then_load_roundtrip(n):
         gens.elliptic3,
     )
     assert loaded.symbol == gens.symbol
+
+
+LOG_LEVELS = (1, 2, 5, 11, 13)
+
+
+@st.composite
+def cache_logs(draw):
+    """Appends to a generator-cache log as writers and damage leave them:
+    (level, kind, cut) with kind "good" (a level's record), "torn" (a good
+    record cut after its header), "foreign" (another level's document under
+    the level's header) or "junk" (a line with no numeric header)."""
+    kinds = st.sampled_from(("good", "torn", "foreign", "junk"))
+    entry = st.tuples(st.sampled_from(LOG_LEVELS), kinds, st.integers(0, 10**6))
+    return draw(st.lists(entry, max_size=12))
+
+
+def _record(n, kind, cut):
+    text = json.dumps(farey._cache_doc(build_generators(n)), sort_keys=True)
+    if kind == "torn":
+        return f"\n{n} {text[: cut % len(text)]}"
+    if kind == "foreign":
+        other = LOG_LEVELS[(LOG_LEVELS.index(n) + 1) % len(LOG_LEVELS)]
+        return f"\n{n} {json.dumps(farey._cache_doc(build_generators(other)), sort_keys=True)}"
+    if kind == "junk":
+        return ("\n-{n} {text}", "\nx{n} {text}", "\n {text}")[cut % 3].format(n=n, text=text)
+    return f"\n{n} {text}"
+
+
+@PROPERTY
+@given(cache_logs(), st.lists(st.sampled_from(LOG_LEVELS), min_size=12, max_size=12))
+def test_cache_log_loads_each_levels_last_record_or_misses(appends, probes):
+    # a load between appends, through the live index, finds a right set or
+    # misses; a fresh index finds exactly the levels whose last record is good
+    with tempfile.TemporaryDirectory() as cache_dir:
+        last = {}
+        for (n, kind, cut), probe in zip(appends, probes):
+            with open(os.path.join(cache_dir, "gamma0-generators.log"), "a") as log:
+                log.write(_record(n, kind, cut))
+            if kind != "junk":
+                last[n] = kind
+            loaded = load_cached_generators(probe, cache_dir)
+            assert loaded is None or loaded == build_generators(probe)
+        farey._log_index.pop(cache_dir, None)
+        for n in LOG_LEVELS:
+            loaded = load_cached_generators(n, cache_dir)
+            assert loaded == (build_generators(n) if last.get(n) == "good" else None), n
+        farey._log_index.pop(cache_dir, None)
 
 
 def test_a_failing_property_is_reported_as_one_failure(tmp_path):
