@@ -36,10 +36,11 @@ builds neither.
 The disk cache is one append-only log per directory, one record per level
 written, holding only the symbol: the finite vertex denominators and the
 labels coded as ints.  A process keeps an index of the log, each level's
-last record by byte offset, and brings it up to date only when a level is
-not in it.  A read rebuilds the numerators by adjacency and extracts the
-generators again, through every check a fresh build runs; only the
-construction is skipped.
+first record by byte offset, and reads the log on, up to the level's next
+record, only when a level is not in it; the records it appends go into the
+index as they are written.  A read rebuilds the numerators by adjacency and
+extracts the generators again, through every check a fresh build runs;
+only the construction is skipped.
 """
 
 from __future__ import annotations
@@ -398,27 +399,29 @@ def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
     one level return the same object, and a scan over levels keeps one set
     in memory.  The memo also holds the cache directory its set was read
     from or written to, so a hit makes no file-system call.  Asked for with
-    any other cache directory, the set's record is appended to that
-    directory's log once; a level whose record is missing or corrupt is
-    rebuilt and so gets a fresh record, which later reads find.
+    any other cache directory, it looks for the set's record in that
+    directory's log and appends one only if none loads.  A level whose
+    record is missing or corrupt is rebuilt and gets a fresh record, which
+    later reads find.
     """
     global _memo_dir
     cache_dir = cache_dir or _default_cache_dir
     gens = _memo.get(n)
+    if gens is not None and cache_dir in (None, _memo_dir):
+        return gens
+    loaded = load_cached_generators(n, cache_dir) if cache_dir else None
     if gens is None:
-        loaded = load_cached_generators(n, cache_dir) if cache_dir else None
         gens = build_generators(n) if loaded is None else loaded
         _memo.clear()
         _memo[n] = gens
-        _memo_dir = None if loaded is None else cache_dir
-    if cache_dir and cache_dir != _memo_dir:
+    if cache_dir and loaded is None:
         save_cached_generators(gens, cache_dir)
-        _memo_dir = cache_dir
+    _memo_dir = cache_dir
     return gens
 
 
 # ---------------------------------------------------------------------------
-# disk cache (one append-only log per directory, a level's last record wins)
+# disk cache (one append-only log per directory, a level's first good record is read)
 
 # Version of the Farey construction, and of the cache document, a cache
 # record was written by; a record from any other is a miss, so one cache
@@ -434,9 +437,19 @@ def _cache_path(cache_dir: str) -> str:
     return os.path.join(cache_dir, "gamma0-generators.log")
 
 
-# cache directory -> ({level: offset of the level's last record seen in the
-# log}, bytes of the log scanned); integers only, never record text
-_log_index: dict[str, tuple[dict[int, int], int]] = {}
+@dataclass
+class _LogIndex:
+    """What a process has read of one directory's log: integers only, never
+    record text."""
+
+    file: tuple[int, int]  # (st_dev, st_ino) of the log read
+    offsets: dict[int, int] = field(default_factory=dict)  # level -> offset of its record
+    scanned: int = 0  # bytes of the lines read that a newline ends
+    end: int = 0  # bytes read, the unended last line included
+
+
+# cache directory -> the index of its log
+_log_index: dict[str, _LogIndex] = {}
 
 
 def _cache_doc(gens: GeneratorSet) -> dict:
@@ -509,7 +522,9 @@ def save_cached_generators(gens: GeneratorSet, cache_dir: str) -> None:
     symbol, as its finite vertex denominators and its labels coded as ints
     (-1 Even, -2 Odd, the pair id for a Free side).  The generators are
     rebuilt from it on every read.  The leading newline keeps a record torn
-    by a failed write on a line of its own, where it reads as a miss.
+    by a failed write on a line of its own, where it reads as a miss.  When
+    nothing was appended since this process last read the log, the record
+    goes into the directory's index, so no load reads it back.
     """
     record = f"\n{gens.level} {json.dumps(_cache_doc(gens), sort_keys=True)}".encode()
     path = _cache_path(cache_dir)
@@ -522,83 +537,123 @@ def save_cached_generators(gens: GeneratorSet, cache_dir: str) -> None:
     try:
         if os.write(fd, record) != len(record):
             raise OSError(f"short write to {path}")
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        stat = os.fstat(fd)
     finally:
         os.close(fd)
+    index = _log_index.get(cache_dir)
+    start = end - len(record)
+    if index is not None and index.file == (stat.st_dev, stat.st_ino) and index.end == start:
+        # the leading newline ends the line before, and the record's line
+        # is now the unended last one
+        index.offsets.setdefault(gens.level, start + 1)
+        index.scanned, index.end = start + 1, end
 
 
-def _index_log(log, cache_dir: str) -> dict[int, int]:
-    """The directory's index brought up to the end of its open log.
+def _index_log(log, index: _LogIndex, n: int, start: int) -> int | None:
+    """Read the open log on from line start ``start`` up to level n's next
+    record, and return its offset; None when the log ends first.
 
-    Lines are read from the last byte scanned, and each one that starts with
-    a run of digits and a space is indexed under that level at its offset; a
-    later record of a level replaces an earlier one.  The scan counts only
-    lines a newline ends, so the last line, which may still be being
-    written, is read again from its start next time, and no scan starts
-    inside a line.  A log shorter than the bytes already scanned was deleted
-    or replaced, and is indexed afresh.
+    Each line that starts with a level, digits with no leading zero, and a
+    space is indexed under that level at its offset, unless the level has an
+    entry: the first record of a level is the one read.  Only lines a
+    newline ends count as scanned, so the last line, which may still be
+    being written, is read again from its start next time, and no read
+    starts inside a line.
     """
-    offsets, scanned = _log_index.get(cache_dir, ({}, 0))
-    if os.fstat(log.fileno()).st_size < scanned:
-        offsets, scanned = {}, 0
-    log.seek(scanned)
-    position = scanned
+    log.seek(start)
+    position = start
+    header = b"%d" % n
     for line in log:
-        header, space, _ = line.partition(b" ")
-        # no level written here has 19 digits, and int() refuses very long runs
-        if space and header.isdigit() and len(header) < 19:
-            offsets[int(header)] = position
+        # a header within 20 bytes: no level written here has 19 digits
+        space = line.find(b" ", 0, 20)
+        level = line[:space] if space > 0 else b""
+        if level.isdigit() and level[0] != 48:  # no leading b"0"
+            index.offsets.setdefault(int(level), position)
+        line_start = position
         position += len(line)
-        if line.endswith(b"\n"):
-            scanned = position
-    _log_index[cache_dir] = offsets, scanned
-    return offsets
+        if position > index.end:
+            index.end = position
+            if line.endswith(b"\n"):
+                index.scanned = position
+        if level == header:
+            return line_start
+    return None
 
 
-def _generators_from_record(record: bytes, n: int) -> GeneratorSet | None:
-    """The set a log record codes for level n, None if it is not n's record;
-    raises on a document ``_cache_doc`` cannot have written."""
-    header, _, text = record.partition(b" ")
-    if header != b"%d" % n:
+def _generators_from_record(text: bytes, n: int) -> GeneratorSet | None:
+    """The set the JSON text of a level-n record codes, None if it codes none."""
+    try:
+        doc = json.loads(text)
+        if type(doc) is not dict or doc.get("construction") != CONSTRUCTION:
+            return None
+        if type(doc.get("level")) is not int or doc["level"] != n:
+            return None
+        if n == 1:
+            return _LEVEL_ONE if doc == _cache_doc(_LEVEL_ONE) else None
+        return _extract_generators(_symbol_from_cache_doc(doc, n))
+    except (ValueError, LookupError, TypeError, RuntimeError):
         return None
-    doc = json.loads(text)
-    if type(doc) is not dict or doc.get("construction") != CONSTRUCTION:
-        return None
-    if type(doc.get("level")) is not int or doc["level"] != n:
-        return None
-    if n == 1:
-        return _LEVEL_ONE if doc == _cache_doc(_LEVEL_ONE) else None
-    return _extract_generators(_symbol_from_cache_doc(doc, n))
 
 
 def load_cached_generators(n: int, cache_dir: str) -> GeneratorSet | None:
     """The cached generator set for level n, or None for a miss.
 
-    The level's record is found through the directory's index, which is
-    brought up to the end of the log when it has no entry for n.  A miss is
-    a missing or unreadable log, no record for n, or a record whose header
-    is not n, whose text is not JSON, whose document is from another
-    construction or for another level, or whose symbol fails a check: the
-    numerators rebuilt from the denominators (``_symbol_from_cache_doc``),
-    ``FareySymbol``'s checks and those of ``_extract_generators``.  Level 1
-    must hold exactly the document with no symbol.  A record that misses
-    leaves the index, so the next load of n reads on to a newer one.  It
-    never builds a Farey symbol.
+    The level's record is found through the directory's index.  A level not
+    in it is looked for in the log from where the last read stopped, up to
+    its next record, so a load reads no further than it must, and nothing
+    when the log has not grown since.  A miss is a missing or unreadable
+    log, no record for n, or only records whose text is not JSON, whose
+    document is from another construction or for another level, or whose
+    symbol fails a check: the numerators rebuilt from the denominators
+    (``_symbol_from_cache_doc``), ``FareySymbol``'s checks and those of
+    ``_extract_generators``.  Level 1 must hold exactly the document with
+    no symbol.  A record that fails leaves the index, and the search goes
+    on past it.  A log with another file identity, shorter than what was
+    read, or with another level's header where the index has n's, was
+    replaced, and is indexed afresh.  It never builds a Farey symbol.
     """
-    offsets = _log_index.get(cache_dir, ({}, 0))[0]
+    path = _cache_path(cache_dir)
     try:
-        with open(_cache_path(cache_dir), "rb") as log:
-            if n not in offsets:
-                offsets = _index_log(log, cache_dir)
-                if n not in offsets:
-                    return None
-            log.seek(offsets[n])
-            record = log.readline()
-        gens = _generators_from_record(record, n)
-    except (OSError, ValueError, LookupError, TypeError, RuntimeError):
-        gens = None
-    if gens is None:
-        offsets.pop(n, None)
-    return gens
+        stat = os.stat(path)
+    except OSError:
+        return None
+    file = stat.st_dev, stat.st_ino
+    index = _log_index.get(cache_dir)
+    if index is None or index.file != file or stat.st_size < index.end:
+        index = _log_index[cache_dir] = _LogIndex(file)
+    # every line before these was indexed when they were set, so read
+    # them before the offsets: a thread may be indexing the log
+    scanned, end = index.scanned, index.end
+    offset = index.offsets.get(n)
+    if offset is None and stat.st_size == end:
+        return None  # nothing appended since the last read
+    header = b"%d " % n
+    fresh = end == 0
+    try:
+        with open(path, "rb") as log:
+            if offset is None:
+                offset = _index_log(log, index, n, scanned)
+            while offset is not None:
+                log.seek(offset)
+                record = log.readline()
+                if not record.startswith(header):
+                    # records are never rewritten, and inode numbers are
+                    # reused: the log was replaced after it was indexed
+                    if fresh:
+                        return None
+                    fresh = True
+                    index = _log_index[cache_dir] = _LogIndex(file)
+                    offset = _index_log(log, index, n, 0)
+                    continue
+                gens = _generators_from_record(record[len(header) :], n)
+                if gens is not None:
+                    return gens
+                index.offsets.pop(n, None)
+                offset = _index_log(log, index, n, log.tell())
+    except OSError:
+        pass
+    return None
 
 
 # ---------------------------------------------------------------------------

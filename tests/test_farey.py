@@ -5,6 +5,7 @@ import heapq
 import json
 import os
 import random
+import shutil
 import sys
 import threading
 import tracemalloc
@@ -974,6 +975,11 @@ def _log_records(cache_dir):
     return [line.partition(" ")[::2] for line in lines[1:]]
 
 
+def _log_bytes(levels):
+    """A log holding a good record of each level, in order."""
+    return "".join(f"\n{n} {_record_text(build_generators(n))}" for n in levels).encode()
+
+
 def _as_in_a_fresh_process():
     """Forget the memo and every log index."""
     farey._memo.clear()
@@ -1095,28 +1101,29 @@ def test_cache_with_swapped_boundary_id_is_rebuilt(tmp_path):
 
 
 def _assert_each_record_is_rebuilt(tmp_path, n, texts):
-    """Each text, as level n's last record, is a miss: the set is rebuilt
+    """Each text, as level n's one record, is a miss: the set is rebuilt
     and one construction-3 record appended, which a fresh process reads
-    back.  Followed by a good record of n, the text is passed over."""
+    back past the bad one.  After a good record of n, the text is never
+    read, and nothing is appended."""
     built = build_generators(n)
     expected = _record_text(built)
-    for text in texts:
-        _append_record(tmp_path, n, text)
+    for i, text in enumerate(texts):
+        cache_dir = tmp_path / str(i)
+        cache_dir.mkdir()
+        _append_record(cache_dir, n, text)
         _as_in_a_fresh_process()
-        assert load_cached_generators(n, str(tmp_path)) is None, text
-        count = len(_log_records(tmp_path))
-        assert generators(n, str(tmp_path)) == built
-        records = _log_records(tmp_path)
-        assert len(records) == count + 1 and records[-1] == (str(n), expected)
-        rewritten = json.loads(records[-1][1])
+        assert load_cached_generators(n, str(cache_dir)) is None, text
+        assert generators(n, str(cache_dir)) == built
+        assert _log_records(cache_dir) == [(str(n), text), (str(n), expected)]
+        rewritten = json.loads(_log_records(cache_dir)[-1][1])
         assert rewritten["construction"] == 3 and "free" not in rewritten
         _as_in_a_fresh_process()
-        assert load_cached_generators(n, str(tmp_path)) == built
-        # the corrupt record followed by a good one
-        _append_record(tmp_path, n, text)
-        _append_record(tmp_path, n, expected)
+        assert load_cached_generators(n, str(cache_dir)) == built
+        # the bad record again, after the good one
+        _append_record(cache_dir, n, text)
         _as_in_a_fresh_process()
-        assert load_cached_generators(n, str(tmp_path)) == built, text
+        assert generators(n, str(cache_dir)) == built, text
+        assert len(_log_records(cache_dir)) == 3
 
 
 def test_corrupt_cache_file_is_rebuilt(tmp_path):
@@ -1241,11 +1248,14 @@ def test_log_records_match_the_per_level_files_and_reload_without_a_build(tmp_pa
     monkeypatch.setattr(farey, "farey_symbol", refuse_to_build)
     for n in levels:
         assert load_cached_generators(n, str(tmp_path)) == built[n], n
-    offsets, scanned = farey._log_index[str(tmp_path)]
-    assert sorted(offsets) == list(levels)
-    assert {*map(type, offsets), *map(type, offsets.values()), type(scanned)} == {int}
-    # the scan stops at the start of the last line, which no newline ends
-    assert scanned == offsets[300] == (tmp_path / LOG_NAME).stat().st_size - len(texts[-1]) - 4
+    index = farey._log_index[str(tmp_path)]
+    assert sorted(index.offsets) == list(levels)
+    numbers = [*index.file, *index.offsets, *index.offsets.values(), index.scanned, index.end]
+    assert {*map(type, numbers)} == {int}
+    # the scan counts up to the start of the last line, which no newline ends
+    size = (tmp_path / LOG_NAME).stat().st_size
+    assert index.scanned == index.offsets[300] == size - len(texts[-1]) - 4
+    assert index.end == size
 
 
 def test_torn_record_then_a_good_append_loads_the_good_one(tmp_path):
@@ -1273,15 +1283,15 @@ def test_torn_record_then_a_good_append_loads_the_good_one(tmp_path):
 def test_record_without_a_numeric_header_is_skipped(tmp_path):
     d = str(tmp_path)
     text = _record_text(build_generators(13))
-    for header in ("x13", "-13", "+13", "13.0", "", "1_3", "١٣", "9" * 5000):
+    for header in ("x13", "-13", "+13", "13.0", "", "1_3", "١٣", "013", "9" * 5000):
         _append_record(tmp_path, header, text)
     _as_in_a_fresh_process()
     assert load_cached_generators(13, d) is None
     size = (tmp_path / LOG_NAME).stat().st_size
-    assert farey._log_index[d] == ({}, size - len(text) - 5001)
-    # digits with a leading zero are indexed, but the header is not "13"
-    _append_record(tmp_path, "013", text)
-    assert load_cached_generators(13, d) is None
+    index = farey._log_index[d]
+    # nothing is indexed, and the last line, which no newline ends, is
+    # read again from its start when the log grows
+    assert (index.offsets, index.scanned, index.end) == ({}, size - len(text) - 5001, size)
     save_cached_generators(build_generators(13), d)
     assert load_cached_generators(13, d) == build_generators(13)
 
@@ -1297,27 +1307,147 @@ def test_header_over_another_levels_document_is_a_miss(tmp_path):
     assert _log_records(tmp_path)[-1] == ("13", _record_text(build_generators(13)))
 
 
-def test_log_replaced_by_a_shorter_file_is_rebuilt(tmp_path):
+@pytest.mark.parametrize("replace", ["unlink", "overwrite"])
+def test_log_replaced_by_a_shorter_file_is_rebuilt(tmp_path, replace):
     d = str(tmp_path)
     for n in range(2, 40):
         save_cached_generators(build_generators(n), d)
     _as_in_a_fresh_process()
-    assert load_cached_generators(30, d) == build_generators(30)  # indexes every record
-    scanned = farey._log_index[d][1]
-    (tmp_path / LOG_NAME).unlink()
-    _append_record(tmp_path, 17, _record_text(build_generators(17)))
-    _append_record(tmp_path, 13, _record_text(build_generators(13)))
-    assert (tmp_path / LOG_NAME).stat().st_size < scanned
-    # the stale offsets read past the end or into another record
-    for n in (13, 17, 30):
-        assert load_cached_generators(n, d) is None, n
-    # with no entry left for 13 and 17, the index is made afresh
+    assert load_cached_generators(39, d) == build_generators(39)  # indexes every record
+    log = tmp_path / LOG_NAME
+    end = farey._log_index[d].end
+    text = _log_bytes((41, 17, 13))
+    if replace == "unlink":
+        log.unlink()
+    log.write_bytes(text)
+    assert len(text) < end
+    # the index is made afresh: the new log's records load, level 41's too,
+    # which the old index never held, and a level with none is a miss
+    assert load_cached_generators(41, d) == build_generators(41)
     assert load_cached_generators(13, d) == build_generators(13)
     assert load_cached_generators(17, d) == build_generators(17)
+    assert load_cached_generators(30, d) is None
     farey._memo.clear()
     assert generators(30, d) == build_generators(30)
-    assert [header for header, _ in _log_records(tmp_path)] == ["17", "13", "30"]
+    assert [header for header, _ in _log_records(tmp_path)] == ["41", "17", "13", "30"]
     assert load_cached_generators(30, d) == build_generators(30)
+
+
+@pytest.mark.parametrize("replace", ["unlink", "overwrite"])
+def test_log_replaced_by_a_file_as_long_is_indexed_afresh(tmp_path, replace):
+    # the same records in the other order, in a new file, whose inode number
+    # may be the old one's, or written over the old file; no size or file
+    # identity tells this log from the one indexed
+    d = str(tmp_path)
+    levels = range(2, 40)
+    for n in levels:
+        save_cached_generators(build_generators(n), d)
+    _as_in_a_fresh_process()
+    assert load_cached_generators(39, d) == build_generators(39)  # indexes every record
+    log = tmp_path / LOG_NAME
+    text = _log_bytes(levels[::-1])
+    assert len(text) == log.stat().st_size
+    if replace == "unlink":
+        log.unlink()
+        log.write_bytes(text)
+    else:
+        with open(log, "r+b") as f:
+            f.write(text)
+    for n in levels:
+        farey._memo.clear()
+        assert generators(n, d) == build_generators(n), n
+    assert log.read_bytes() == text  # every level loaded, nothing appended
+
+
+def test_log_replaced_by_a_file_of_the_same_size_is_read_afresh(tmp_path):
+    # level 13 missed on a record of another construction; its good record
+    # then comes in another file, renamed over the log, of the same size:
+    # only the file identity shows that the log is not the one read
+    d = str(tmp_path)
+    good = _record_text(build_generators(13))
+    other = good.replace('"construction": 3', '"construction": 4')
+    log = tmp_path / LOG_NAME
+    log.write_text(f"\n13 {other}")
+    _as_in_a_fresh_process()
+    assert load_cached_generators(13, d) is None
+    (tmp_path / "new").write_text(f"\n13 {good}")
+    os.replace(tmp_path / "new", log)
+    assert load_cached_generators(13, d) == build_generators(13)
+
+
+def test_scans_after_the_directory_is_removed_append_each_level_once(tmp_path):
+    d = str(tmp_path / "cache")
+    levels = range(2, 40)
+    _as_in_a_fresh_process()
+    for _ in range(2):
+        for n in levels:
+            generators(n, d)
+        shutil.rmtree(d)
+    for _ in range(2):
+        for n in levels:
+            assert generators(n, d) == build_generators(n)
+    assert [header for header, _ in _log_records(tmp_path / "cache")] == [str(n) for n in levels]
+
+
+def test_switching_directories_appends_each_level_once(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _as_in_a_fresh_process()
+    gens = generators(19, str(a))
+    for _ in range(3):
+        assert generators(19, str(b)) is gens
+        assert generators(19, str(a)) is gens
+    assert _log_records(a) == _log_records(b) == [("19", _record_text(gens))]
+
+
+def test_a_cold_fill_reads_back_no_record_it_wrote(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    d = str(tmp_path)
+    monkeypatch.setattr(farey, "open", counting_open, raising=False)
+    _as_in_a_fresh_process()
+    for n in range(2, 40):
+        generators(n, d)
+    # level 2 finds no log, and level 3 reads level 2's record, written
+    # before this process had an index of the log; from then on each record
+    # is indexed as it is appended, and a miss with nothing appended since
+    # reads nothing
+    assert opened == [os.path.join(d, LOG_NAME)]
+    assert sorted(farey._log_index[d].offsets) == list(range(2, 40))
+    _as_in_a_fresh_process()
+    assert all(load_cached_generators(n, d) == build_generators(n) for n in range(2, 40))
+
+
+def test_a_load_reads_the_log_only_up_to_the_levels_record(tmp_path):
+    d = str(tmp_path)
+    for n in range(2, 40):
+        save_cached_generators(build_generators(n), d)
+    _as_in_a_fresh_process()
+    assert load_cached_generators(13, d) == build_generators(13)
+    index = farey._log_index[d]
+    assert sorted(index.offsets) == list(range(2, 14))
+    line_13 = len(b"\n13 ") + len(_record_text(build_generators(13)))
+    assert index.scanned == index.end == index.offsets[13] + line_13
+    # the first good record of a level is read; a bad one is passed over
+    good17, bad17 = _record_text(build_generators(17)), "not json"
+    for i, texts in enumerate(([good17, bad17], [bad17, good17], [bad17, bad17, good17, good17])):
+        cache_dir = tmp_path / str(i)
+        cache_dir.mkdir()
+        for text in texts:
+            _append_record(cache_dir, 17, text)
+        _as_in_a_fresh_process()
+        assert load_cached_generators(17, str(cache_dir)) == build_generators(17), texts
+        first_good = 1 + sum(len(f"\n17 {text}") for text in texts[: texts.index(good17)])
+        assert farey._log_index[str(cache_dir)].offsets == {17: first_good}
+    # a read past good17 and bad17 keeps the first, good one
+    cache_dir = tmp_path / "0"
+    _append_record(cache_dir, 19, _record_text(build_generators(19)))
+    _as_in_a_fresh_process()
+    assert load_cached_generators(19, str(cache_dir)) == build_generators(19)
+    assert load_cached_generators(17, str(cache_dir)) == build_generators(17)
 
 
 def test_record_appended_by_another_process_is_found_on_the_next_miss(tmp_path):
@@ -1326,10 +1456,13 @@ def test_record_appended_by_another_process_is_found_on_the_next_miss(tmp_path):
     _as_in_a_fresh_process()
     assert load_cached_generators(13, d) == build_generators(13)
     size = (tmp_path / LOG_NAME).stat().st_size
-    assert farey._log_index[d] == ({13: 1}, 1)
+    index = farey._log_index[d]
+    assert (index.offsets, index.scanned, index.end) == ({13: 1}, 1, size)
     _append_record(tmp_path, 17, _record_text(build_generators(17)))
     assert load_cached_generators(17, d) == build_generators(17)
-    assert farey._log_index[d] == ({13: 1, 17: size + 1}, size + 1)
+    grown = (tmp_path / LOG_NAME).stat().st_size
+    assert farey._log_index[d] is index
+    assert (index.offsets, index.scanned, index.end) == ({13: 1, 17: size + 1}, size + 1, grown)
 
 
 def test_threads_sharing_the_log_index_load_right_sets(tmp_path):

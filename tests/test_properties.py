@@ -240,22 +240,24 @@ def _record(n, kind, cut):
 
 @PROPERTY
 @given(cache_logs(), st.lists(st.sampled_from(LOG_LEVELS), min_size=12, max_size=12))
-def test_cache_log_loads_each_levels_last_record_or_misses(appends, probes):
+def test_cache_log_loads_a_good_record_of_each_level_or_misses(appends, probes):
     # a load between appends, through the live index, finds a right set or
-    # misses; a fresh index finds exactly the levels whose last record is good
+    # misses; a fresh index finds exactly the levels with a good record
     with tempfile.TemporaryDirectory() as cache_dir:
-        last = {}
+        good = set()
         for (n, kind, cut), probe in zip(appends, probes):
             with open(os.path.join(cache_dir, "gamma0-generators.log"), "a") as log:
                 log.write(_record(n, kind, cut))
-            if kind != "junk":
-                last[n] = kind
+            if kind == "good":
+                good.add(n)
             loaded = load_cached_generators(probe, cache_dir)
             assert loaded is None or loaded == build_generators(probe)
+            # the live index misses only a level with no good record
+            assert (loaded is None) == (probe not in good), probe
         farey._log_index.pop(cache_dir, None)
         for n in LOG_LEVELS:
             loaded = load_cached_generators(n, cache_dir)
-            assert loaded == (build_generators(n) if last.get(n) == "good" else None), n
+            assert loaded == (build_generators(n) if n in good else None), n
         farey._log_index.pop(cache_dir, None)
 
 
