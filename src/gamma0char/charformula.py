@@ -8,10 +8,11 @@ the positive generator beta(N, l) of the image, and its rank drives the
 surjectivity analysis in ``verify``.
 
 Both run on plain integers.  ``CharacterParams`` compiles each triple once
-into integers over one modulus M, chi included as a table indexed by d mod N,
-so an evaluation is one table read and one integer sum.  Every sigma value is
-taken from unpacked entries: ``kernels.psi4`` of the matrix minus
-``sl2.psi_conjugate``, the one routine that forms the conjugate.
+into integers over one modulus M; chi(d) stays in the character's own table,
+scaled to M by one integer, so an evaluation is one table read and one
+integer sum.  Every sigma value is taken from unpacked entries:
+``kernels.psi4`` of the matrix minus ``sl2.psi_conjugate``, the one routine
+that forms the conjugate.
 
 A scan visits each level once, so ``sigma_matrix`` keeps no matrix.  The
 sigma layer's one per-process memo is ``_beta_table``, the column gcds
@@ -47,8 +48,8 @@ class CharacterParams:
     reads chi(d) + (r1/12 + sum of the r_l) * psi - sum of r_l * psi_l, so
     construction compiles, all scaled to M:
 
-    - ``chi_table``: the character's ``table`` scaled from its modulus to M,
-      so the chi exponent of each residue d mod N, None at a non-unit;
+    - ``chi_scale``: M / ``chi.value_modulus``, so chi(d) over M is
+      ``chi.table[d % N] * chi_scale``;
     - ``psi_weight``: r1 * M / 12 plus the sum of the r_l * M;
     - ``rl_weights``: (l, r_l * M) for each nonzero r_l.
     """
@@ -57,7 +58,7 @@ class CharacterParams:
     r1: int
     r_l: tuple[tuple[int, Fraction], ...]
     value_modulus: int = field(init=False, repr=False, compare=False)
-    chi_table: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    chi_scale: int = field(init=False, repr=False, compare=False)
     psi_weight: int = field(init=False, repr=False, compare=False)
     rl_weights: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
@@ -69,26 +70,14 @@ class CharacterParams:
             raise ValueError(f"r_l keys must be the divisors of {n} above 1: {expected}")
         r1 = as_int(self.r1) % 12
         big = math.lcm(12, self.chi.value_modulus, *(r.denominator for _, r in r_l))
-        scale = big // self.chi.value_modulus
         rl = tuple((l, r.numerator * (big // r.denominator)) for l, r in r_l if r)
-        table = tuple(None if v is None else v * scale for v in self.chi.table)
         put = object.__setattr__
         put(self, "r1", r1)
         put(self, "r_l", r_l)
         put(self, "value_modulus", big)
-        put(self, "chi_table", table)
+        put(self, "chi_scale", big // self.chi.value_modulus)
         put(self, "psi_weight", r1 * (big // 12) + sum(w for _, w in rl))
         put(self, "rl_weights", rl)
-
-    def chi_exponent(self, d: int) -> int:
-        """chi(d) as an integer over M, read from ``chi_table``; d must be a
-        unit modulo N (ValueError otherwise, as ``dirichlet.evaluate``)."""
-        n = self.chi.modulus
-        d %= n
-        value = self.chi_table[d]
-        if value is None:
-            raise ValueError(f"{d} is not a unit modulo {n}")
-        return value
 
     @classmethod
     def from_map(cls, chi: DirichletCharacter, r1: int, r_l: dict) -> "CharacterParams":
@@ -108,16 +97,18 @@ def eval_character(params: CharacterParams, gamma: Gamma0Element) -> CircleExpon
 
     exponent(chi(d)) + r1 * psi(gamma) / 12 + sum over l of r_l * sigma_l(gamma),
     all mod 1: one integer sum over the modulus M of ``params``, reduced once.
-    chi(d) is one read of the compiled table.  The entries are unpacked once;
-    psi(gamma) comes from ``kernels.psi4`` and enters once, with the compiled
-    ``psi_weight``, and psi of each l-conjugate from ``psi_conjugate``.
+    chi(d) is one read of the character's table, times ``chi_scale``: N | c
+    and ad - bc = 1 give ad = 1 mod N, so d is a unit mod N and its entry is
+    never None.  The entries are unpacked once; psi(gamma) comes from
+    ``kernels.psi4`` and enters once, with the compiled ``psi_weight``, and
+    psi of each l-conjugate from ``psi_conjugate``.
     """
     n = params.chi.modulus
     if gamma.level != n:
         raise ValueError(f"level {gamma.level} does not match modulus {n}")
     m = gamma.matrix
     a, b, c, d = m.a, m.b, m.c, m.d
-    total = params.chi_exponent(d) + params.psi_weight * psi4(a, b, c, d)
+    total = params.chi.table[d % n] * params.chi_scale + params.psi_weight * psi4(a, b, c, d)
     for l, w in params.rl_weights:
         total -= w * psi_conjugate(a, b, c, d, l)
     return CircleExponent.from_residue(total, params.value_modulus)

@@ -4,14 +4,14 @@ The unit group (Z/NZ)^x is decomposed into cyclic factors by the Chinese
 remainder theorem: the smallest primitive root for each odd prime power, and
 the pair {-1, 5} for powers of two above 4.  ``unit_group_structure`` returns
 the factors as a tuple of (generator, order) pairs, memoized per modulus.
-Each character is compiled once into integer weights over m, the lcm of the
-factor orders, and holds chi(d) over m for every residue d mod N in one
-table, ``DirichletCharacter.table``, filled on first use by walking every
-exponent vector of the factors.
+Each character holds chi(d) over m, the lcm of the factor orders, for every
+residue d mod N in one table, ``DirichletCharacter.table``, filled on first
+use by walking every exponent vector of the factors.
 
-``evaluate`` reads that table, which suits one-off values.  The character
-formula's hot loop does not call it: ``charformula.CharacterParams`` scales
-the table to its own modulus once per parameter triple.
+``evaluate`` reads that table for one-off values and refuses a non-unit.
+The character formula's hot loop reads the same table directly, times one
+integer scale from m to its own modulus: the d of a Gamma0(N) element is
+always a unit.
 """
 
 from __future__ import annotations
@@ -102,14 +102,13 @@ class DirichletCharacter:
     """A character of (Z/NZ)^x, encoded by exponents on the cyclic factors.
 
     Exponents k_i are reduced mod their orders; chi(d) is the sum of
-    w_i * e_i over m = ``value_modulus``, the lcm of the orders, where
-    d = prod of g_i^e_i over the factors and ``weights`` w_i = k_i * m / order_i.
+    k_i * e_i * m / order_i over m = ``value_modulus``, the lcm of the
+    orders, where d = prod of g_i^e_i over the factors.
     """
 
     modulus: int
     exponents: tuple[int, ...]
     value_modulus: int = field(init=False, repr=False, compare=False)
-    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         factors = unit_group_structure(self.modulus)
@@ -117,19 +116,18 @@ class DirichletCharacter:
             raise ValueError("exponent vector length does not match the unit group")
         orders = [order for _, order in factors]
         exps = tuple(as_int(k) % order for k, order in zip(self.exponents, orders))
-        m = math.lcm(*orders)
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "value_modulus", m)
-        object.__setattr__(self, "weights", tuple(k * (m // o) for k, o in zip(exps, orders)))
+        object.__setattr__(self, "value_modulus", math.lcm(*orders))
 
     @cached_property
     def table(self) -> tuple[int | None, ...]:
         """chi(d) over ``value_modulus``, unreduced, per residue d mod N; None at a non-unit."""
         n = self.modulus
         # each unit so far times every power of the next factor's generator,
-        # its value growing by that factor's weight at each step
+        # its value growing by that factor's weight k * m / order at each step
         values = {1 % n: 0}
-        for (gen, order), weight in zip(unit_group_structure(n), self.weights):
+        for (gen, order), k in zip(unit_group_structure(n), self.exponents):
+            weight = k * (self.value_modulus // order)
             grown = {}
             for unit, value in values.items():
                 for _ in range(order):

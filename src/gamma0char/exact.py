@@ -4,8 +4,9 @@ Both Dedekind sum routes return a ``Fraction``: ``dedekind_sum`` sums the
 definition, ``dedekind_sum_fast`` reads the Euclid walk of ``kernels.psi4``.
 Rationals enter as ``fractions.Fraction`` or int; floats and other inexact
 numbers are rejected with ``ValueError``.  A point of the unit circle is a
-``CircleExponent``, its exponent mod 1 held as a reduced integer pair, so hot
-loops add integers over an explicit modulus.  No floating point appears anywhere.
+``CircleExponent``, built only from an integer residue over an explicit
+modulus and held as its exponent mod 1, a reduced integer pair, so hot loops
+add integers.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -134,21 +135,17 @@ def as_int(x) -> int:
 class CircleExponent:
     """A point of the unit circle stored as its rational exponent mod 1.
 
-    ``CircleExponent(x)`` stands for exp(2*pi*i*x), stored as the reduced pair
-    num/den with 0 <= num < den; ``from_residue(x, m)`` builds x/m, and the group
-    law (addition mod 1) is integer cross-multiplication through it.  Equal
-    values have equal pairs; ``value`` returns the exponent as a Fraction.
-    Frozen and slotted like ``sl2.UniModular``: both constructors store the
-    pair through the slot descriptors.
+    The value num/den stands for exp(2*pi*i*num/den), stored as the reduced
+    pair with 0 <= num < den.  ``from_residue(x, m)``, the one constructor,
+    builds x/m from integers, and the group law (addition mod 1) is integer
+    cross-multiplication through it.  Equal values have equal pairs; ``value``
+    returns the exponent as a Fraction.  Frozen and slotted like
+    ``sl2.UniModular``: the constructor stores the pair through the slot
+    descriptors.
     """
 
     num: int
     den: int
-
-    def __init__(self, value) -> None:
-        q = as_fraction(value)
-        _set_num(self, q.numerator % q.denominator)
-        _set_den(self, q.denominator)
 
     @classmethod
     def from_residue(cls, x: int, m: int) -> "CircleExponent":

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -10,6 +11,7 @@ from operator import mul
 import pytest
 
 from gamma0char import charformula
+from gamma0char import verify as verify_mod
 from gamma0char.charformula import (
     KERNEL_LEVELS,
     CharacterParams,
@@ -21,17 +23,19 @@ from gamma0char.charformula import (
     sigma_matrix,
 )
 from gamma0char.dirichlet import (
+    DirichletCharacter,
     divisors,
     enumerate_characters,
     euler_phi,
     evaluate,
     unit_group_structure,
 )
-from gamma0char.exact import dedekind_sum
+from gamma0char.exact import CircleExponent, as_fraction, as_int, dedekind_sum
 from gamma0char.farey import generators
+from gamma0char.kernels import psi4
 from gamma0char.sampling import random_gamma0
 from gamma0char.sl2 import NEG_I, T, Gamma0Element, UniModular, psi, psi_conjugate, sigma
-from gamma0char.verify import predicted_beta
+from gamma0char.verify import predicted_beta, verify_surjectivity
 
 
 def _params(n, chi_index=0, r1=0, **weights):
@@ -129,23 +133,115 @@ def _value_error(fn, *args):
 def test_chi_table_matches_the_dlog_dot_product():
     for n in (*range(1, 61), 210, 840):
         vectors = _exponent_vectors(n)
+        orders = [order for _, order in unit_group_structure(n)]
         # weights over 5 make M a proper multiple of the character's modulus
         r_l = {l: Fraction(1, 5) for l in divisors(n) if l > 1}
         for chi in enumerate_characters(n):
+            m = chi.value_modulus
             params = CharacterParams.from_map(chi, 1, r_l)
-            scale = params.value_modulus // chi.value_modulus
-            assert len(params.chi_table) == n
+            scale = math.lcm(12, m, 5 if r_l else 1) // m
+            assert params.chi_scale == scale and params.value_modulus == scale * m
+            weights = [k * (m // order) for k, order in zip(chi.exponents, orders)]
+            assert len(chi.table) == n
             for d in range(n):
                 if math.gcd(d, n) == 1:
-                    expected = scale * sum(map(mul, chi.weights, vectors[d]))
-                    assert params.chi_exponent(d) == params.chi_exponent(d - 3 * n) == expected
+                    expected = scale * sum(map(mul, weights, vectors[d]))
+                    assert chi.table[d] * params.chi_scale == expected
                     assert evaluate(chi, d + 5 * n).value == _oracle_evaluate(chi, d)
                 else:
-                    assert params.chi_table[d] is None
+                    assert chi.table[d] is None
                     message = f"{d} is not a unit modulo {n}"
                     assert _value_error(evaluate, chi, d - 4 * n) == message
-                    assert _value_error(params.chi_exponent, d) == message
-                    assert _value_error(params.chi_exponent, d + 2 * n) == message
+                    assert _value_error(evaluate, chi, d + 2 * n) == message
+
+
+@dataclass(frozen=True)
+class _ParentCharacterParams:
+    """``CharacterParams`` as its parent compiled it, frozen: each triple
+    scaled chi into an N-entry table of its own, ``chi_table``, read through
+    ``chi_exponent``."""
+
+    chi: DirichletCharacter
+    r1: int
+    r_l: tuple[tuple[int, Fraction], ...]
+    value_modulus: int = field(init=False, repr=False, compare=False)
+    chi_table: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    psi_weight: int = field(init=False, repr=False, compare=False)
+    rl_weights: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.chi.modulus
+        r_l = tuple((as_int(l), as_fraction(r)) for l, r in self.r_l)
+        expected = [l for l in divisors(n) if l > 1]
+        if [l for l, _ in r_l] != expected:
+            raise ValueError(f"r_l keys must be the divisors of {n} above 1: {expected}")
+        r1 = as_int(self.r1) % 12
+        big = math.lcm(12, self.chi.value_modulus, *(r.denominator for _, r in r_l))
+        scale = big // self.chi.value_modulus
+        rl = tuple((l, r.numerator * (big // r.denominator)) for l, r in r_l if r)
+        table = tuple(None if v is None else v * scale for v in self.chi.table)
+        put = object.__setattr__
+        put(self, "r1", r1)
+        put(self, "r_l", r_l)
+        put(self, "value_modulus", big)
+        put(self, "chi_table", table)
+        put(self, "psi_weight", r1 * (big // 12) + sum(w for _, w in rl))
+        put(self, "rl_weights", rl)
+
+    def chi_exponent(self, d: int) -> int:
+        n = self.chi.modulus
+        d %= n
+        value = self.chi_table[d]
+        if value is None:
+            raise ValueError(f"{d} is not a unit modulo {n}")
+        return value
+
+    @classmethod
+    def from_map(cls, chi, r1, r_l):
+        return cls(chi, r1, tuple(sorted(r_l.items())))
+
+
+def _parent_eval_character(params, gamma):
+    """``eval_character`` as its parent read chi(d), frozen."""
+    n = params.chi.modulus
+    if gamma.level != n:
+        raise ValueError(f"level {gamma.level} does not match modulus {n}")
+    m = gamma.matrix
+    a, b, c, d = m.a, m.b, m.c, m.d
+    total = params.chi_exponent(d) + params.psi_weight * psi4(a, b, c, d)
+    for l, w in params.rl_weights:
+        total -= w * psi_conjugate(a, b, c, d, l)
+    return CircleExponent.from_residue(total, params.value_modulus)
+
+
+def test_eval_character_matches_the_frozen_parent(benchmark_shaped_element):
+    rng = random.Random(73)
+    for n in (*range(1, 61), 210, 840):
+        divs = [l for l in divisors(n) if l > 1]
+        for chi in enumerate_characters(n):
+            for r1, den in itertools.product((0, 5, 11), (5, 7)):
+                r_l = {l: Fraction(rng.randrange(-3 * den, 3 * den), den) for l in divs}
+                params = CharacterParams.from_map(chi, r1, r_l)
+                parent = _ParentCharacterParams.from_map(chi, r1, r_l)
+                assert (params.value_modulus, params.psi_weight, params.rl_weights) == (
+                    parent.value_modulus,
+                    parent.psi_weight,
+                    parent.rl_weights,
+                )
+                for _ in range(2):
+                    gamma = benchmark_shaped_element(rng, n)
+                    assert eval_character(params, gamma) == _parent_eval_character(
+                        parent, gamma
+                    ), (n, chi.id(), r1, gamma)
+
+
+def test_surjectivity_reports_match_the_frozen_parent(monkeypatch):
+    reports = [verify_surjectivity(n) for n in range(1, 61)]
+    images = [verify_mod._torsion_image(n, generators(n)) for n in range(2, 61)]
+    monkeypatch.setattr(verify_mod, "CharacterParams", _ParentCharacterParams)
+    monkeypatch.setattr(verify_mod, "eval_character", _parent_eval_character)
+    assert reports == [verify_surjectivity(n) for n in range(1, 61)]
+    assert images == [verify_mod._torsion_image(n, generators(n)) for n in range(2, 61)]
 
 
 def test_eval_character_trivial_params():

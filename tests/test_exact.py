@@ -126,7 +126,7 @@ def test_big_k_fast_path():
 
 
 def test_circle_exponent_group_laws():
-    xs = [CircleExponent(Fraction(a, b)) for a, b in [(0, 1), (1, 2), (2, 3), (7, 12), (5, 6)]]
+    xs = [CircleExponent.from_residue(a, b) for a, b in [(0, 1), (1, 2), (2, 3), (7, 12), (5, 6)]]
     zero = CircleExponent.zero()
     for x in xs:
         assert x + zero == x
@@ -139,16 +139,19 @@ def test_circle_exponent_group_laws():
 
 
 def test_circle_exponent_reduction_is_canonical():
-    assert CircleExponent(Fraction(5, 4)) == CircleExponent(Fraction(1, 4))
-    assert CircleExponent(Fraction(-1, 3)) == CircleExponent(Fraction(2, 3))
-    assert CircleExponent(Fraction(3, 3)) == CircleExponent.zero()
-    assert CircleExponent.from_residue(-10, 24) == CircleExponent(Fraction(7, 12))
-    assert hash(CircleExponent.from_residue(9, 12)) == hash(CircleExponent(Fraction(-1, 4)))
+    assert CircleExponent.from_residue(5, 4) == CircleExponent.from_residue(1, 4)
+    assert CircleExponent.from_residue(-1, 3) == CircleExponent.from_residue(2, 3)
+    assert CircleExponent.from_residue(3, 3) == CircleExponent.zero()
+    assert CircleExponent.from_residue(-10, 24) == CircleExponent.from_residue(7, 12)
+    assert hash(CircleExponent.from_residue(9, 12)) == hash(CircleExponent.from_residue(-1, 4))
     assert str(CircleExponent.from_residue(36, 12)) == "0/1"
+    # integer residues are the one way in: no constructor takes a value, and
     # inexact input is rejected, not rounded to the nearest binary fraction
-    for bad in (0.1, 0.5, "1/2", None):
-        with pytest.raises(ValueError):
+    for bad in (0.1, 0.5, "1/2", None, Fraction(1, 2)):
+        with pytest.raises(TypeError):
             CircleExponent(bad)
+        with pytest.raises(TypeError):
+            CircleExponent.from_residue(bad, 2)
     # a modulus below 1 is rejected: m = -2 would give the pair -1/-2, unequal
     # to 1/2 with the same value, and m = 0 would divide by zero
     with pytest.raises(ValueError, match=r"^modulus must be positive, got -2$"):
@@ -164,7 +167,8 @@ def test_circle_exponent_matches_fraction_arithmetic():
         p = Fraction(rng.randrange(-(10**20), 10**20), rng.choice(dens))
         q = Fraction(rng.randrange(-(10**20), 10**20), rng.choice(dens))
         n = rng.randrange(-50, 51)
-        x, y = CircleExponent(p), CircleExponent(q)
+        x = CircleExponent.from_residue(p.numerator, p.denominator)
+        y = CircleExponent.from_residue(q.numerator, q.denominator)
         assert (x.num, x.den) == ((p % 1).numerator, (p % 1).denominator)
         assert (x + y).value == (p + q) % 1
         assert (x - y).value == (p - q) % 1

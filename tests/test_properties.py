@@ -169,6 +169,75 @@ def test_psi4_matches_four_case_formula_on_naive_sums(m):
 
 
 @st.composite
+def _wide_integers(draw):
+    """An integer of k digits, k from 1 to 200, of either sign."""
+    k = draw(st.integers(1, 200))
+    return draw(st.integers(10 ** (k - 1), 10**k - 1)) * draw(st.sampled_from((1, -1)))
+
+
+@st.composite
+def wide_unimodular(draw):
+    """Entries (a, b, c, d) of determinant 1 with c and d of up to 200 digits,
+    each of either sign; c = 0 in about one draw in sixteen."""
+    if draw(st.integers(0, 15)) == 0:
+        a = d = draw(st.sampled_from((1, -1)))
+        return a, draw(_wide_integers()), 0, d
+    c = draw(_wide_integers())
+    d = draw(_wide_integers())
+    while gcd(c, d) != 1:
+        d += 1
+    a = pow(d, -1, abs(c)) + c * draw(st.integers(-50, 50))
+    return a, (a * d - 1) // c, c, d
+
+
+def _jacobi(x, n):
+    """The Jacobi symbol (x/n) for odd n > 0, by quadratic reciprocity."""
+    x %= n
+    sign = 1
+    while x:
+        while x % 2 == 0:
+            x //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        x, n = n, x
+        if x % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        x %= n
+    return sign if n == 1 else 0
+
+
+def _psi_mod_24(a, b, c, d):
+    """psi(gamma) mod 24 from the closed form of the eta multiplier.
+
+    In this package's normalisation (Petersson; M. Knopp, *Modular Functions
+    in Analytic Number Theory*, 1970, ch. 4, Thm. 2; Rademacher-Grosswald,
+    *Dedekind Sums*, 1972, ch. 4), for c > 0:
+    c odd:  (a + d)c - bd(c^2 - 1) - 3c + 12 [(d/c) = -1];
+    c even: (a - 2d)c - bd(c^2 - 1) + 3d - 3 + 12 [(c/|d|) = -1].
+    For c < 0, psi(gamma) = psi(-gamma) + 6; for c = 0 the four-case formula.
+    No step is a continued-fraction walk.
+    """
+    if c < 0:
+        return (_psi_mod_24(-a, -b, -c, -d) + 6) % 24
+    if c == 0:
+        return (b if a > 0 else -b - 6) % 24
+    if c % 2:
+        value = (a + d) * c - b * d * (c * c - 1) - 3 * c + 12 * (_jacobi(d, c) == -1)
+    else:
+        value = (a - 2 * d) * c - b * d * (c * c - 1) + 3 * d - 3 + 12 * (_jacobi(c, abs(d)) == -1)
+    return value % 24
+
+
+@PROPERTY
+@given(wide_unimodular())
+def test_psi4_mod_24_matches_the_eta_multiplier_closed_form(m):
+    # the naive-sum property above stops at |c| <= 10**4, and the frozen
+    # walks in test_sl2 are Euclid walks like psi4's; this oracle is neither
+    # and reaches 200-digit entries
+    assert psi4(*m) % 24 == _psi_mod_24(*m)
+
+
+@st.composite
 def top_level_elements(draw):
     """A level l and an element of Gamma0(l) with |c| up to about 10^12."""
     l = draw(st.integers(2, 1000))

@@ -10,6 +10,9 @@ generators r_x * s * r_{x.s}^-1, for s in {S, T}, generate Gamma0(N)
 section 2.3).  beta(N, l) is the gcd of sigma_l over any generating set, and
 the sigma rank is the rank over any generating set, so both are compared
 with the values the Farey symbol's generators give.
+
+The test covers 2 <= N <= 300; ``python tests/test_schreier_oracle.py MAX``
+runs the same comparison at every level up to MAX.
 """
 
 import math
@@ -89,8 +92,10 @@ def test_normal_form_is_the_minimum_over_units():
                     assert form(c, d) == _brute_normal_form(n, c, d), (n, c, d)
 
 
-def test_schreier_generators_give_beta_and_the_sigma_rank():
-    for n in range(2, 301):
+def _compare_with_the_farey_layer(levels):
+    """Assert, at each level, that the Schreier generators give the index,
+    every beta(N, l) and the sigma rank that the Farey generators give."""
+    for n in levels:
         count, gens = _schreier_generators(n)
         assert count == index_gamma0(n), n
         cols = [l for l in divisors(n) if l > 1]
@@ -103,3 +108,21 @@ def test_schreier_generators_give_beta_and_the_sigma_rank():
         for l, column in zip(cols, zip(*rows)):
             assert math.gcd(*column) == beta(n, l), (n, l)
         assert integer_rank(rows) == integer_rank(sigma_matrix(n).entries), n
+
+
+def test_schreier_generators_give_beta_and_the_sigma_rank():
+    _compare_with_the_farey_layer(range(2, 301))
+
+
+if __name__ == "__main__":
+    import argparse
+    import time
+
+    parser = argparse.ArgumentParser(
+        description="Compare the Schreier oracle with the Farey layer at every level 2..MAX."
+    )
+    parser.add_argument("max_level", metavar="MAX", type=int)
+    top = parser.parse_args().max_level
+    start = time.perf_counter()
+    _compare_with_the_farey_layer(range(2, top + 1))
+    print(f"levels 2..{top} agree ({time.perf_counter() - start:.1f} s)")

@@ -69,8 +69,8 @@ def test_value_type_contract():
     assert repr(T) == "UniModular(a=1, b=1, c=0, d=1)"
     assert repr(gamma) == "Gamma0Element(matrix=UniModular(a=1, b=1, c=0, d=1), level=3)"
     assert repr(half) == "CircleExponent(num=1, den=2)" and str(half) == "1/2"
-    # the two constructors give equal, equally hashed values
-    twins = (CircleExponent(Fraction(1, 2)), CircleExponent(Fraction(-7, 2)))
+    # residues of one value give equal, equally hashed values
+    twins = (CircleExponent.from_residue(1, 2), CircleExponent.from_residue(-7, 2))
     for twin in (*twins, CircleExponent.from_residue(-5, 10)):
         assert twin == half and hash(twin) == hash(half) and twin is not half
     assert half.value == Fraction(1, 2)

@@ -16,10 +16,11 @@ from gamma0char import verify as verify_mod
 
 from gamma0char.charformula import CharacterParams, TheoremViolation, eval_character
 from gamma0char.dirichlet import divisors, enumerate_characters, evaluate
-from gamma0char.exact import CircleExponent
+from gamma0char.exact import CircleExponent, integer_rank
 from gamma0char.farey import closed_form_counts, generators, index_gamma0
+from gamma0char.kernels import psi4
 from gamma0char.sampling import random_sl2
-from gamma0char.sl2 import Gamma0Element, NEG_I, omega, psi
+from gamma0char.sl2 import Gamma0Element, NEG_I, omega, psi, psi_conjugate
 from gamma0char.verify import (
     BETA_BY_RESIDUE,
     SURJECTIVE_LEVELS,
@@ -115,7 +116,7 @@ def test_torsion_image_rejects_values_outside_the_target_group(monkeypatch):
     # a value at an elliptic generator shifted by 1/7 breaks order * x == value(-I)
     def shifted(params, gamma):
         value = eval_character(params, gamma)
-        return value if gamma.matrix == NEG_I else value + CircleExponent(Fraction(1, 7))
+        return value if gamma.matrix == NEG_I else value + CircleExponent.from_residue(1, 7)
 
     monkeypatch.setattr(verify_mod, "eval_character", shifted)
     for n in (2, 3, 13):
@@ -191,6 +192,60 @@ def test_conjecture3_report():
     assert integer_rank(sigma_matrix(12).entries) == 5
     assert integer_rank(sigma_matrix(11).entries) == 1
     assert integer_rank(sigma_matrix(36).entries) == 8
+
+
+def test_cusp_parabolics_certify_the_sigma_rank():
+    # for each c | N, P_c = (1 - c*w, w; -c^2*w, 1 + c*w) with
+    # w = N / gcd(N, c^2) is a parabolic element of Gamma0(N) fixing the cusp
+    # 1/c; its sigma row, read through psi4 (which checks the determinant),
+    # is sigma_l(P_c) = w * (l - gcd(c, l)^2) / l, and the t rows have rank
+    # t - 1: a certificate for conjecture 3 at each level
+    for n in range(2, 2001):
+        divs = divisors(n)
+        cols = divs[1:]
+        rows = []
+        for c in divs:
+            w = n // math.gcd(n, c * c)
+            assert c * c * w % n == 0, (n, c)
+            a, b, lower, d = 1 - c * w, w, -c * c * w, 1 + c * w
+            psi_p = psi4(a, b, lower, d)
+            row = [psi_p - psi_conjugate(a, b, lower, d, l) for l in cols]
+            closed = [w * (l - math.gcd(c, l) ** 2) for l in cols]
+            assert [x * l for x, l in zip(row, cols)] == closed, (n, c)
+            rows.append(row)
+        assert integer_rank(rows) == len(cols), n
+
+
+def _fraction_determinant(rows):
+    """Determinant of a square matrix by Gaussian elimination in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for j in range(len(rows)):
+        pivot = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != j:
+            rows[j], rows[pivot] = rows[pivot], rows[j]
+            det = -det
+        det *= rows[j][j]
+        for i in range(j + 1, len(rows)):
+            f = rows[i][j] / rows[j][j]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[j])]
+    return det
+
+
+def test_gcd_square_matrix_per_prime_block_determinant():
+    # G = [gcd(c, l)^2 / l] over c, l | N is the Kronecker product of the
+    # blocks [p^(2 min(i, j) - j)], 0 <= i, j <= e, one per p^e exactly
+    # dividing N; column 1 of G is all ones and the sigma columns are
+    # G_1 - G_l with row c scaled by w_c > 0, so an invertible G gives the
+    # certificate rank t - 1
+    for p in (2, 3, 5, 7):
+        for e in range(6):
+            span = range(e + 1)
+            block = [[Fraction(p) ** (2 * min(i, j) - j) for j in span] for i in span]
+            expected = (p * p - 1) ** e * Fraction(p) ** ((e - 1) * (e - 2) // 2 - 1)
+            assert _fraction_determinant(block) == expected, (p, e)
 
 
 def test_table2_report():
