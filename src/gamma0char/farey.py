@@ -34,13 +34,14 @@ use and kept on the set; extraction alone, which is all the scans need,
 builds neither.
 
 The disk cache is one append-only log per directory, one record per level
-written, holding only the symbol: the finite vertex denominators and the
-labels coded as ints.  A process keeps an index of the log, each level's
-first record by byte offset, and reads the log on, up to the level's next
-record, only when a level is not in it; the records it appends go into the
-index as they are written.  A read rebuilds the numerators by adjacency and
-extracts the generators again, through every check a fresh build runs;
-only the construction is skipped.
+written, holding only the symbol in the one form it has in memory too: the
+finite vertex denominators and one int label per side.  Level 1, a constant
+with no symbol, is never cached.  A process keeps an index of the log, each
+level's first record by byte offset, and reads the log on, up to the level's
+next record, only when a level is not in it; the records it appends go into
+the index as they are written.  A read builds the symbol, through the one
+check a built symbol passes, and extracts the generators again; only the
+construction is skipped.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from math import prod
 from .dirichlet import factorize
 from .sl2 import NEG_I, S, T, Entries, Gamma0Element, UniModular, mul4, pow4
 
-EVEN = ("even",)
-ODD = ("odd",)
+EVEN = -1  # the pairing label of an Even side
+ODD = -2  # the pairing label of an Odd side
 
 
 def index_gamma0(n: int) -> int:
@@ -87,43 +88,51 @@ def closed_form_counts(n: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class FareySymbol:
-    """Vertex chain and side pairing labels for a level.
+    """Finite vertex denominators and side pairing labels for a level, the
+    form a cache record stores too, checked once on construction.
 
-    ``vertices`` runs from the left infinite endpoint (-1, 0) through the
-    reduced fractions of [0, 1] to the right infinite endpoint (1, 0); side i
-    joins vertices i and i+1.  Labels are ("even",), ("odd",) or
-    ("free", pair_id); pair id 0 is the boundary pair realised by T.
+    ``denominators`` run from 0/1 to 1/1; each numerator follows by
+    adjacency, p' = (1 + p q') / q.  ``pairings`` has one label per side:
+    ``EVEN``, ``ODD`` or a Free side's pair id, 0 for the boundary pair
+    realised by T.  ``vertices`` runs from the infinite endpoint (-1, 0)
+    through the finite vertices to (1, 0); side i joins vertices i and i+1.
     """
 
     level: int
-    vertices: tuple[tuple[int, int], ...]
-    pairings: tuple[tuple, ...]
+    denominators: tuple[int, ...]
+    pairings: tuple[int, ...]
+    vertices: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        v = self.vertices
-        if len(self.pairings) != len(v) - 1:
-            raise ValueError("one pairing label required per side")
-        for p, q in v[1:-1]:
-            if not 0 < q < self.level:
-                raise ValueError(f"vertex {p}/{q} has a denominator outside (0, {self.level})")
-        for (p1, q1), (p2, q2) in zip(v, v[1:]):
-            if p2 * q1 - p1 * q2 != 1:
-                raise ValueError(f"vertices {p1}/{q1}, {p2}/{q2} are not adjacent")
-        # the cusp walk bisects the finite chain for a cusp in [0, 1)
-        if v[:2] != ((-1, 0), (0, 1)) or v[-2:] != ((1, 1), (1, 0)):
-            raise ValueError("the vertex chain must run -1/0, 0/1, ..., 1/1, 1/0")
-        boundary = ("free", 0)
-        if boundary != self.pairings[0] or boundary != self.pairings[-1]:
-            raise ValueError("the two boundary sides must carry the pair label ('free', 0)")
+        n, qs, labels = self.level, self.denominators, self.pairings
+        if type(qs) is not tuple or type(labels) is not tuple or len(labels) != len(qs) + 1:
+            raise ValueError("one pairing label required per side, both given as tuples")
+        vertices = [(-1, 0)]
         seen: dict[int, int] = {}
-        for label in self.pairings:
-            if label not in (EVEN, ODD):
-                if len(label) != 2 or label[0] != "free" or type(label[1]) is not int:
-                    raise ValueError(f"malformed pairing label {label!r}")
-                seen[label[1]] = seen.get(label[1], 0) + 1
-        if any(count != 2 for count in seen.values()):
-            # with the boundary check this also keeps id 0 off interior sides
+        # from -1/1, the step to denominator 1 gives 0/1 and any other a
+        # numerator the chain check rejects
+        p, q = -1, 1
+        for side, label in enumerate(labels):
+            # bool is a subclass of int; pair id 0 is on the boundary sides only
+            if type(label) is not int or label < ODD or (label == 0) != (side in (0, len(qs))):
+                raise ValueError(f"malformed pairing label {label!r} on side {side}")
+            seen[label] = seen.get(label, 0) + 1
+            if side < len(qs):
+                q_next = qs[side]  # checked before it divides anything
+                if type(q_next) is not int or not 0 < q_next < n:
+                    raise ValueError(f"denominator {q_next!r} is not an int in (0, {n})")
+                p, rest = divmod(1 + p * q_next, q)
+                if rest:
+                    raise ValueError(f"denominators {q}, {q_next} are not adjacent")
+                q = q_next
+                vertices.append((p, q))
+        # the cusp walk bisects the finite chain for a cusp in [0, 1)
+        if vertices[1:2] != [(0, 1)] or vertices[-1] != (1, 1):
+            raise ValueError("the vertex chain must run -1/0, 0/1, ..., 1/1, 1/0")
+        if any(count != 2 for label, count in seen.items() if label >= 0):
             raise ValueError("every free pair id must occur exactly twice")
+        vertices.append((1, 0))
+        object.__setattr__(self, "vertices", tuple(vertices))
 
     def counts(self) -> tuple[int, int, int]:
         """(free pairs, even sides, odd sides) = (r, e2, e3)."""
@@ -168,7 +177,7 @@ def farey_symbol(n: int) -> FareySymbol:
     (d : -b) itself; at most one side waits at a point, and points are
     looked up by the integer key ``_p1_keys(n)`` gives them.  A side is named
     by its left vertex, with its right vertex and its label (None while open)
-    in two dicts; a subdivision relinks them, and the vertex chain is read by
+    in two dicts; a subdivision relinks them, and the symbol is read by
     following right vertices from 0/1.  Only mediants of denominator below n
     are made: raises RuntimeError if a vertex denominator would reach n.
     """
@@ -178,7 +187,7 @@ def farey_symbol(n: int) -> FareySymbol:
     # a side is named by its left vertex v: right[v] is its right vertex and
     # labels[v] its label, None while the side is open
     right: dict[tuple[int, int], tuple[int, int]] = {}
-    labels: dict[tuple[int, int], tuple | None] = {}
+    labels: dict[tuple[int, int], int | None] = {}
     waiting: dict[int, tuple[int, int]] = {}  # point key -> the open side waiting there
     # mediant denominator -> (mediant numerator, open side, its waiting point)
     buckets: dict[int, list[tuple[int, tuple[int, int], int]]] = {}
@@ -194,7 +203,7 @@ def farey_symbol(n: int) -> FareySymbol:
         else:
             partner = waiting.pop(point(b, d), None)
             if partner is not None:
-                label = labels[partner] = ("free", next_pair)
+                label = labels[partner] = next_pair
                 next_pair += 1
             else:
                 # wait at the partner point (d : -b)
@@ -218,16 +227,12 @@ def farey_symbol(n: int) -> FareySymbol:
             add_side((p, q), v_right)
     if waiting:
         raise RuntimeError(f"level {n}: a vertex denominator would reach the level")
-    verts: list[tuple[int, int]] = [(-1, 0)]
-    pairings: list[tuple] = [("free", 0)]  # the boundary pair, realised by T
-    v = (0, 1)
+    denominators, pairings, v = [1], [0], (0, 1)  # 0 labels the boundary pair, realised by T
     while v != (1, 1):
-        verts.append(v)
         pairings.append(labels[v])
         v = right[v]
-    verts += [(1, 1), (1, 0)]
-    pairings.append(("free", 0))
-    return FareySymbol(n, tuple(verts), tuple(pairings))
+        denominators.append(v[1])
+    return FareySymbol(n, tuple(denominators), (*pairings, 0))
 
 
 @dataclass(frozen=True)
@@ -344,13 +349,13 @@ def _extract_generators(symbol: FareySymbol) -> GeneratorSet:
         elif label == ODD:
             elliptic3.append(mul4((p1 + p2, -p2, q1 + q2, -q2), inv))  # m TS m^-1
             rules[i] = ("e3", len(elliptic3) - 1, 1)
-        elif label[1] in open_left:
-            left, inv_left = open_left.pop(label[1])
+        elif label in open_left:
+            left, inv_left = open_left.pop(label)
             free.append(mul4((p1, -p2, q1, -q2), inv_left))  # m S m_left^-1
             rules[left] = ("free", len(free) - 1, 1)
             rules[i] = ("free", len(free) - 1, -1)
         else:
-            open_left[label[1]] = (i, inv)
+            open_left[label] = (i, inv)
     for h in free + elliptic2 + elliptic3:
         if h[2] % n != 0:
             raise RuntimeError(f"generator {h} escapes level {n}")
@@ -402,9 +407,12 @@ def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
     any other cache directory, it looks for the set's record in that
     directory's log and appends one only if none loads.  A level whose
     record is missing or corrupt is rebuilt and gets a fresh record, which
-    later reads find.
+    later reads find.  Level 1's set {S, ST} is a constant, returned before
+    the memo and the cache: it has no Farey symbol and no record.
     """
     global _memo_dir
+    if n == 1:
+        return _LEVEL_ONE
     cache_dir = cache_dir or _default_cache_dir
     gens = _memo.get(n)
     if gens is not None and cache_dir in (None, _memo_dir):
@@ -428,10 +436,6 @@ def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
 # never mixes two of them.
 CONSTRUCTION = 3
 
-# pairing label -> its code in a cache record; a Free label is coded by its pair id
-_LABEL_CODES = {EVEN: -1, ODD: -2}
-_CODE_LABELS = {code: label for label, code in _LABEL_CODES.items()}
-
 
 def _cache_path(cache_dir: str) -> str:
     return os.path.join(cache_dir, "gamma0-generators.log")
@@ -453,49 +457,24 @@ _log_index: dict[str, _LogIndex] = {}
 
 
 def _cache_doc(gens: GeneratorSet) -> dict:
-    """The symbol of a set as a cache document: its finite vertex
-    denominators and its labels coded as ints.  Level 1 has no symbol."""
-    doc = {"construction": CONSTRUCTION, "level": gens.level}
-    if gens.symbol is not None:
-        doc["denominators"] = [q for _, q in gens.symbol.vertices[1:-1]]
-        doc["labels"] = [_LABEL_CODES.get(label, label[-1]) for label in gens.symbol.pairings]
-    return doc
-
-
-def _symbol_from_cache_doc(doc: dict, n: int) -> FareySymbol:
-    """The level-n symbol a cache document codes, with all of its checks.
-
-    The first finite vertex has numerator 0, and each next numerator follows
-    by adjacency, p' = (1 + p q') / q, which must divide exactly.  Every
-    denominator is checked to be a positive int before any division, so no
-    ZeroDivisionError, which the loader does not catch, can arise.  Raises
-    ValueError, LookupError or TypeError on a document ``_cache_doc`` cannot
-    have written.
-    """
-    denominators, codes = doc["denominators"], doc["labels"]
-    # each list holds ints and nothing else (bool is a subclass of int)
-    if {*map(type, denominators)} != {int} or min(denominators) < 1:
-        raise ValueError(f"cache for level {n} has a denominator that is not a positive integer")
-    if {*map(type, codes)} != {int} or min(codes) < -2:
-        raise ValueError(f"cache for level {n} has a malformed label code")
-    p, q = 0, denominators[0]
-    vertices = [(-1, 0), (p, q)]
-    for q_next in denominators[1:]:
-        p, rest = divmod(1 + p * q_next, q)
-        if rest:
-            raise ValueError(f"cache for level {n} has non-adjacent denominators")
-        q = q_next
-        vertices.append((p, q))
-    vertices.append((1, 0))
-    labels = [_CODE_LABELS[c] if c < 0 else ("free", c) for c in codes]
-    return FareySymbol(n, tuple(vertices), tuple(labels))
+    """The symbol of a set as a cache document: the symbol's own fields.
+    Level 1 has no symbol and raises ValueError: it is never cached."""
+    if gens.symbol is None:
+        raise ValueError(f"the level-{gens.level} set has no Farey symbol to cache")
+    return {
+        "construction": CONSTRUCTION,
+        "level": gens.level,
+        "denominators": list(gens.symbol.denominators),
+        "labels": list(gens.symbol.pairings),
+    }
 
 
 def generator_set_to_json(gens: GeneratorSet) -> dict:
     """The whole set as the JSON document ``generators`` prints.
 
     This is the construction-2 cache document, kept byte for byte: the three
-    generator lists and the symbol's vertices and labels, tagged 2.
+    generator lists and the symbol's vertices and labels, tagged 2, with
+    each label printed as ["even"], ["odd"] or ["free", pair id].
     """
     doc = {
         "construction": 2,
@@ -508,7 +487,10 @@ def generator_set_to_json(gens: GeneratorSet) -> dict:
     if gens.symbol is not None:
         doc["farey"] = {
             "vertices": [list(v) for v in gens.symbol.vertices],
-            "pairings": [list(label) for label in gens.symbol.pairings],
+            "pairings": [
+                ["even"] if c == EVEN else ["odd"] if c == ODD else ["free", c]
+                for c in gens.symbol.pairings
+            ],
         }
     return doc
 
@@ -518,13 +500,14 @@ def save_cached_generators(gens: GeneratorSet, cache_dir: str) -> None:
     directory is made only when it is missing.
 
     The record is a newline, the level and a space, then the level's cache
-    document as one line of JSON: the level and, for N >= 2, only the Farey
-    symbol, as its finite vertex denominators and its labels coded as ints
-    (-1 Even, -2 Odd, the pair id for a Free side).  The generators are
-    rebuilt from it on every read.  The leading newline keeps a record torn
-    by a failed write on a line of its own, where it reads as a miss.  When
-    nothing was appended since this process last read the log, the record
-    goes into the directory's index, so no load reads it back.
+    document as one line of JSON: the level and only the Farey symbol, as
+    its finite vertex denominators and its int labels (-1 Even, -2 Odd, the
+    pair id for a Free side).  The generators are rebuilt from it on every
+    read.  Level 1, with no symbol, raises ValueError.  The leading newline
+    keeps a record torn by a failed write on a line of its own, where it
+    reads as a miss.  When nothing was appended since this process last read
+    the log, the record goes into the directory's index, so no load reads it
+    back.
     """
     record = f"\n{gens.level} {json.dumps(_cache_doc(gens), sort_keys=True)}".encode()
     path = _cache_path(cache_dir)
@@ -589,9 +572,7 @@ def _generators_from_record(text: bytes, n: int) -> GeneratorSet | None:
             return None
         if type(doc.get("level")) is not int or doc["level"] != n:
             return None
-        if n == 1:
-            return _LEVEL_ONE if doc == _cache_doc(_LEVEL_ONE) else None
-        return _extract_generators(_symbol_from_cache_doc(doc, n))
+        return _extract_generators(FareySymbol(n, tuple(doc["denominators"]), tuple(doc["labels"])))
     except (ValueError, LookupError, TypeError, RuntimeError):
         return None
 
@@ -605,13 +586,13 @@ def load_cached_generators(n: int, cache_dir: str) -> GeneratorSet | None:
     when the log has not grown since.  A miss is a missing or unreadable
     log, no record for n, or only records whose text is not JSON, whose
     document is from another construction or for another level, or whose
-    symbol fails a check: the numerators rebuilt from the denominators
-    (``_symbol_from_cache_doc``), ``FareySymbol``'s checks and those of
-    ``_extract_generators``.  Level 1 must hold exactly the document with
-    no symbol.  A record that fails leaves the index, and the search goes
-    on past it.  A log with another file identity, shorter than what was
-    read, or with another level's header where the index has n's, was
-    replaced, and is indexed afresh.  It never builds a Farey symbol.
+    symbol fails a check: ``FareySymbol``'s, which rebuild the numerators
+    from the denominators, and those of ``_extract_generators``.  Level 1
+    has no record: every one reads as a miss.  A record that fails leaves
+    the index, and the search goes on past it.  A log with another file
+    identity, shorter than what was read, or with another level's header
+    where the index has n's, was replaced, and is indexed afresh.  It never
+    builds a Farey symbol.
     """
     path = _cache_path(cache_dir)
     try:

@@ -170,6 +170,19 @@ PINNED_STDOUT = [
         ' "t_minus_1": 1, "torsion_tuples_matched": 72}, "level": 13, "ok": true,'
         ' "verdict": "Surjective"}\n',
     ),
+    # level 37: free pairs 0-4 and two Even and two Odd sides, printed as
+    # ["free", id], ["even"] and ["odd"]
+    (
+        "generators --level 37",
+        '{"construction": 2, "elliptic2": [[6, -1, 37, -6], [31, -26, 37, -31]], '
+        '"elliptic3": [[11, -3, 37, -10], [27, -19, 37, -26]], '
+        '"farey": {"pairings": [["free", 0], ["even"], ["free", 3], ["free", 1], ["odd"], '
+        '["free", 2], ["free", 4], ["free", 3], ["free", 1], ["odd"], ["free", 2], '
+        '["free", 4], ["even"], ["free", 0]], "vertices": [[-1, 0], [0, 1], [1, 6], [1, '
+        '5], [1, 4], [1, 3], [2, 5], [1, 2], [3, 5], [2, 3], [3, 4], [4, 5], [5, 6], [1, '
+        '1], [1, 0]]}, "free": [[1, 1, 0, 1], [21, -4, 37, -7], [23, -5, 37, -8], [29, '
+        '-11, 37, -14], [30, -13, 37, -16]], "level": 37}\n',
+    ),
     (
         "--output plain verify surjectivity --level 12",
         "evidence.e2=0\nevidence.e3=0\nevidence.r=5\nevidence.r_exceeds_t_minus_1=False\n"

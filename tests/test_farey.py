@@ -103,69 +103,62 @@ def test_symbol_structure_small_levels():
     assert s4.vertices[1:-1] == ((0, 1), (1, 2), (1, 1))
 
 
-_BOUNDARY_MESSAGE = r"^the two boundary sides must carry the pair label \('free', 0\)$"
 _CHAIN_MESSAGE = r"^the vertex chain must run -1/0, 0/1, \.\.\., 1/1, 1/0$"
 
 
 def test_symbol_invariants_reject_bad_data():
-    with pytest.raises(ValueError, match=r"^vertices 0/1, 2/3 are not adjacent$"):
-        FareySymbol(4, ((-1, 0), (0, 1), (2, 3), (1, 0)), (("free", 0),) * 3)
-    # every other check passes on this chain, so only adjacency rejects it
-    with pytest.raises(ValueError, match=r"^vertices 1/3, 1/1 are not adjacent$"):
-        FareySymbol(
-            4, ((-1, 0), (0, 1), (1, 3), (1, 1), (1, 0)), (("free", 0), EVEN, EVEN, ("free", 0))
-        )
-    with pytest.raises(ValueError, match=_BOUNDARY_MESSAGE):
-        FareySymbol(2, ((-1, 0), (0, 1), (1, 1), (1, 0)), (("free", 0), EVEN, ("free", 1)))
+    # 0/1, 1/3, then (1 + 1 * 1) / 3 does not divide
+    with pytest.raises(ValueError, match=r"^denominators 3, 1 are not adjacent$"):
+        FareySymbol(4, (1, 3, 1), (0, EVEN, EVEN, 0))
+    with pytest.raises(ValueError, match=r"^malformed pairing label 1 on side 2$"):
+        FareySymbol(2, (1, 1), (0, EVEN, 1))
     # the boundary pair must be id 0, and id 0 must stay off interior sides
-    v11 = farey_symbol(11).vertices
-    assert farey_symbol(11).pairings == tuple(("free", i) for i in (0, 1, 2, 1, 2, 0))
+    s11 = farey_symbol(11)
+    assert s11.denominators == (1, 3, 2, 3, 1)
+    assert s11.pairings == (0, 1, 2, 1, 2, 0)
     twice = r"^every free pair id must occur exactly twice$"
     for ids, message in [
-        ((1, 0, 2, 0, 2, 1), _BOUNDARY_MESSAGE),
-        ((0, 0, 2, 0, 2, 0), twice),
-        ((0, 1, 2, 1, 2, 2), _BOUNDARY_MESSAGE),
-        ((2, 1, 0, 1, 0, 2), _BOUNDARY_MESSAGE),
+        ((1, 0, 2, 0, 2, 1), r"^malformed pairing label 1 on side 0$"),
+        ((0, 0, 2, 0, 2, 0), r"^malformed pairing label 0 on side 1$"),
+        ((0, 1, 2, 1, 2, 2), r"^malformed pairing label 2 on side 5$"),
+        ((2, 1, 0, 1, 0, 2), r"^malformed pairing label 2 on side 0$"),
+        ((0, 1, 2, 1, 3, 0), twice),
+        ((0, 1, 1, 1, 1, 0), twice),
     ]:
         with pytest.raises(ValueError, match=message):
-            FareySymbol(11, v11, tuple(("free", i) for i in ids))
-    # a free label holds the exact int id: 1.0 and True equal 1, and False
-    # equals 0, so each is caught as the first or as the second of its pair
-    for side, label in [
-        (1, ("free", 1, 2)),
-        (1, ("free", 1.0)),
-        (1, ("free", True)),
-        (3, ("free", 1.0)),
-        (3, ("free", True)),
-        (5, ("free", False)),
-    ]:
-        labels = [("free", i) for i in (0, 1, 2, 1, 2, 0)]
+            FareySymbol(11, s11.denominators, ids)
+    # a label is an exact int of at least ODD: 1.0 and True equal 1, and
+    # False equals 0, so only the type tells them from ids
+    for side, label in [(1, -3), (1, 1.0), (1, True), (3, 1.0), (3, True), (5, False), (2, "2")]:
+        labels = [0, 1, 2, 1, 2, 0]
         labels[side] = label
         with pytest.raises(ValueError, match=r"^malformed pairing label "):
-            FareySymbol(11, v11, tuple(labels))
+            FareySymbol(11, s11.denominators, tuple(labels))
     # a chain without finite vertices has no sides to label
     with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
-        FareySymbol(2, ((-1, 0),), ())
-    with pytest.raises(ValueError, match=r"^one pairing label required per side$"):
-        FareySymbol(2, ((-1, 0), (0, 1), (1, 1), (1, 0)), (("free", 0), EVEN))
+        FareySymbol(2, (), (0,))
+    with pytest.raises(ValueError, match=r"^one pairing label required per side"):
+        FareySymbol(2, (1, 1), (0, EVEN))
 
 
 def test_symbol_chain_must_run_from_0_to_1(tmp_path):
-    # adjacent throughout and correctly labelled, but the finite chain runs
-    # 1/1, 2/1: on it the cusp walk's bisection finds no side below a cusp in
-    # [0, 1), and the walk never reaches oo
-    vertices = ((-1, 0), (1, 1), (2, 1), (1, 0))
-    pairings = (("free", 0), EVEN, ("free", 0))
-    with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
-        FareySymbol(2, vertices, pairings)
-    for bad in (((-1, 0), (0, 1), (1, 1), (2, 1)), ((-1, 1), (0, 1), (1, 1), (1, 0))):
+    # numerators are rebuilt, so a chain can only start off 0/1 with a first
+    # denominator other than 1 (2, 1 gives -1/2, 0/1), or stop short of 1/1; with
+    # denominators 1, 1, 1 it carries on past 1/1 to 2/1, where the cusp
+    # walk's bisection would find no side below a cusp in [0, 1), and the
+    # walk would never reach oo
+    for denominators, labels in (
+        ((2, 1), (0, ODD, 0)),
+        ((2,), (0, 0)),
+        ((1, 2), (0, EVEN, 0)),
+        ((1, 1, 1), (0, EVEN, EVEN, 0)),
+    ):
         with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
-            FareySymbol(2, bad, pairings)
-    # a cache record cannot start the chain elsewhere: its numerators are
-    # rebuilt from 0/1, so it can only carry on past 1/1, to 2/1
+            FareySymbol(3, denominators, labels)
+    # a cache record carrying on past 1/1 is a miss, and is rebuilt
     doc = dict(farey._cache_doc(build_generators(2)), denominators=[1, 1, 1], labels=[0, -1, -1, 0])
     with pytest.raises(ValueError, match=_CHAIN_MESSAGE):
-        farey._symbol_from_cache_doc(doc, 2)
+        FareySymbol(2, tuple(doc["denominators"]), tuple(doc["labels"]))
     _append_record(tmp_path, 2, json.dumps(doc))
     assert load_cached_generators(2, str(tmp_path)) is None
     _as_in_a_fresh_process()
@@ -176,17 +169,46 @@ def test_symbol_chain_must_run_from_0_to_1(tmp_path):
 
 def test_symbol_vertex_denominators_stay_below_the_level():
     vertices = ((-1, 0), (0, 1), (1, 2), (1, 1), (1, 0))
-    pairings = (("free", 0), EVEN, ODD, ("free", 0))
-    assert FareySymbol(3, vertices, pairings).vertices == vertices  # q = level - 1
+    assert FareySymbol(3, (1, 2, 1), (0, EVEN, ODD, 0)).vertices == vertices  # q = level - 1
     with pytest.raises(ValueError, match="denominator"):
-        FareySymbol(2, vertices, pairings)  # q = level
+        FareySymbol(2, (1, 2, 1), (0, EVEN, ODD, 0))  # q = level
+
+
+def test_symbol_constructor_rejects_bad_denominators_without_dividing_by_them():
+    good = farey_symbol(13)
+    assert good.denominators == (1, 3, 2, 3, 1)
+    labels = good.pairings
+    message = r"^denominator .* is not an int in \(0, 13\)$"
+    for bad in (0, -2, True, 1.0, 13, "2", None):
+        for position in range(5):
+            denominators = list(good.denominators)
+            denominators[position] = bad
+            with pytest.raises(ValueError, match=message):
+                FareySymbol(13, tuple(denominators), labels)
+    # not a tuple: a list (unhashable in a frozen symbol), an int, None, a str
+    for bad in (list(good.denominators), 13231, None, "13231"):
+        with pytest.raises(ValueError, match=r"^one pairing label required per side"):
+            FareySymbol(13, bad, labels)
+        with pytest.raises(ValueError, match=r"^one pairing label required per side"):
+            FareySymbol(13, good.denominators, bad)
+    for empty_labels in ((), (0,)):
+        with pytest.raises(ValueError):
+            FareySymbol(13, (), empty_labels)
+
+
+def test_symbol_round_trips_through_its_fields():
+    for n in range(2, 301):
+        symbol = farey_symbol(n)
+        again = FareySymbol(n, symbol.denominators, symbol.pairings)
+        assert again == symbol and again.vertices == symbol.vertices, n
+        assert symbol.denominators == tuple(q for _, q in symbol.vertices[1:-1]), n
 
 
 def test_built_symbols_carry_the_boundary_pair():
     for n in range(2, 289):
         pairings = farey_symbol(n).pairings  # validated on construction
-        assert pairings[0] == pairings[-1] == ("free", 0), n
-        assert ("free", 0) not in pairings[1:-1], n
+        assert pairings[0] == pairings[-1] == 0, n
+        assert 0 not in pairings[1:-1], n
 
 
 def _side_matrix(v_left, v_right):
@@ -220,13 +242,13 @@ def _frozen_extract_generators(symbol):
         elif label == ODD:
             elliptic3.append(m * ts * m.inv())
             rules[i] = ("e3", len(elliptic3) - 1, 1)
-        elif label[1] in open_left:
-            left, m_left = open_left.pop(label[1])
+        elif label in open_left:
+            left, m_left = open_left.pop(label)
             free.append(m * S * m_left.inv())
             rules[left] = ("free", len(free) - 1, 1)
             rules[i] = ("free", len(free) - 1, -1)
         else:
-            open_left[label[1]] = (i, m)
+            open_left[label] = (i, m)
     for ms in free + elliptic2 + elliptic3:
         if ms.c % n != 0:
             raise RuntimeError(f"generator {ms} escapes level {n}")
@@ -278,14 +300,15 @@ def _frozen_p1_point(c: int, d: int, n: int, units: bytes) -> tuple[int, int]:
 
 def _frozen_farey_symbol(n: int) -> FareySymbol:
     """``farey_symbol`` as it kept open sides in a heap and keyed every P^1
-    point by ``_p1_point``, before the O(1) unit keys; the oracle."""
+    point by ``_p1_point``, before the O(1) unit keys; the oracle.  Its own
+    vertex chain must be the one the symbol rebuilds from the denominators."""
     if n < 2:
         raise ValueError("levels below 2 have no Farey symbol here; see generators()")
     units = bytes(gcd(t, n) == 1 for t in range(n))
     # side s joins ends[s]; a subdivided side has its two halves in
     # children[s], a final one its label in labels[s]
     ends: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    labels: list[tuple | None] = []
+    labels: list[int | None] = []
     children: dict[int, tuple[int, int]] = {}
     waiting: dict[tuple[int, int], list[int]] = {}  # partner point -> open sides
     open_at: dict[int, tuple[int, int]] = {}  # open side -> its key in waiting
@@ -307,7 +330,7 @@ def _frozen_farey_symbol(n: int) -> FareySymbol:
             if partners:
                 t = partners.pop(0)
                 del open_at[t]
-                labels[s] = labels[t] = ("free", next_pair)
+                labels[s] = labels[t] = next_pair
                 next_pair += 1
             else:
                 key = _frozen_p1_point(d, -b, n, units)
@@ -328,7 +351,7 @@ def _frozen_farey_symbol(n: int) -> FareySymbol:
         v_left, v_right = ends[s]
         children[s] = (new_side(v_left, (p, q)), new_side((p, q), v_right))
     verts: list[tuple[int, int]] = [(-1, 0)]
-    pairings: list[tuple] = [("free", 0)]  # the boundary pair, realised by T
+    pairings: list[int] = [0]  # the boundary pair, realised by T
     stack = [0]
     while stack:
         s = stack.pop()
@@ -338,8 +361,10 @@ def _frozen_farey_symbol(n: int) -> FareySymbol:
             verts.append(ends[s][0])
             pairings.append(labels[s])
     verts += [(1, 1), (1, 0)]
-    pairings.append(("free", 0))
-    return FareySymbol(n, tuple(verts), tuple(pairings))
+    pairings.append(0)
+    symbol = FareySymbol(n, tuple(q for _, q in verts[1:-1]), tuple(pairings))
+    assert symbol.vertices == tuple(verts), n
+    return symbol
 
 
 def test_farey_symbol_matches_frozen_oracle():
@@ -408,7 +433,7 @@ def test_level_memoised_without_a_directory_is_written_with_one(tmp_path):
 def _relabelled(symbol, labels):
     """The symbol with the sides in ``labels`` (side -> label) relabelled."""
     pairings = tuple(labels.get(i, label) for i, label in enumerate(symbol.pairings))
-    return FareySymbol(symbol.level, symbol.vertices, pairings)
+    return FareySymbol(symbol.level, symbol.denominators, pairings)
 
 
 def test_extract_rejects_relabelled_sides():
@@ -420,7 +445,7 @@ def test_extract_rejects_relabelled_sides():
         with pytest.raises(RuntimeError, match="closed forms"):
             farey._extract_generators(_relabelled(symbol, {side: label}))
     # two Even sides as one free pair keep the measure, not the closed forms
-    both = _relabelled(symbol, {even[0]: ("free", 9), even[1]: ("free", 9)})
+    both = _relabelled(symbol, {even[0]: 9, even[1]: 9})
     assert both.counts() == (2, 0, 2)
     with pytest.raises(RuntimeError, match="closed forms"):
         farey._extract_generators(both)
@@ -428,8 +453,8 @@ def test_extract_rejects_relabelled_sides():
 
 def test_extract_rejects_swapped_free_partners():
     symbol = farey_symbol(11)
-    assert symbol.pairings == tuple(("free", i) for i in (0, 1, 2, 1, 2, 0))
-    swapped = FareySymbol(11, symbol.vertices, tuple(("free", i) for i in (0, 1, 2, 2, 1, 0)))
+    assert symbol.pairings == (0, 1, 2, 1, 2, 0)
+    swapped = FareySymbol(11, symbol.denominators, (0, 1, 2, 2, 1, 0))
     with pytest.raises(RuntimeError, match="escapes level 11"):
         farey._extract_generators(swapped)
 
@@ -437,7 +462,13 @@ def test_extract_rejects_swapped_free_partners():
 def _unvalidated_symbol(level, vertices, pairings):
     """A FareySymbol that skipped ``__post_init__``, as corrupted state would."""
     symbol = object.__new__(FareySymbol)
-    for name, value in (("level", level), ("vertices", vertices), ("pairings", pairings)):
+    denominators = tuple(q for _, q in vertices[1:-1])
+    for name, value in (
+        ("level", level),
+        ("denominators", denominators),
+        ("pairings", pairings),
+        ("vertices", vertices),
+    ):
         object.__setattr__(symbol, name, value)
     return symbol
 
@@ -447,9 +478,8 @@ def test_extract_order_checks_catch_a_side_of_determinant_four():
     # of determinant 1: each elliptic generator is 4 times an element of
     # Gamma0(N) and lies in the level, so only the order checks can see it
     vertices = ((-1, 0), (0, 2), (2, 2), (1, 0))
-    boundary = ("free", 0)
     for n, label, order in ((2, EVEN, "square"), (3, ODD, "cube")):
-        symbol = _unvalidated_symbol(n, vertices, (boundary, label, boundary))
+        symbol = _unvalidated_symbol(n, vertices, (0, label, 0))
         with pytest.raises(RuntimeError, match=f"does not {order} to -I"):
             farey._extract_generators(symbol)
 
@@ -986,6 +1016,11 @@ def _as_in_a_fresh_process():
     farey._log_index.clear()
 
 
+def _symbol_of(doc, n):
+    """The level-n symbol a cache document codes, as the loader reads it."""
+    return FareySymbol(n, tuple(doc["denominators"]), tuple(doc["labels"]))
+
+
 def test_cache_roundtrip(tmp_path):
     gens = generators(13)
     save_cached_generators(gens, str(tmp_path))
@@ -1014,11 +1049,17 @@ def _construction2_generator_set(doc):
         vertices = tuple(tuple(v) for v in doc["farey"]["vertices"])
         if not all(type(x) is int for v in vertices for x in v):
             raise ValueError(f"cache for level {n} has non-integer vertices")
+        codes = {("even",): EVEN, ("odd",): ODD}
+        labels = tuple(tuple(label) for label in doc["farey"]["pairings"])
         symbol = FareySymbol(
             n,
-            vertices,
-            tuple(tuple(label) for label in doc["farey"]["pairings"]),
+            tuple(q for _, q in vertices[1:-1]),
+            tuple(codes.get(label, label[-1]) for label in labels),
         )
+        # the chain rebuilt from the denominators is the stored one, so the
+        # stored vertices pass the adjacency check
+        if symbol.vertices != vertices:
+            raise ValueError(f"cache for level {n} has non-adjacent vertices")
         gens = farey._extract_generators(symbol)
     for kind in ("free", "elliptic2", "elliptic3"):
         if [g.entries() for g in getattr(gens, kind)] != [tuple(m) for m in doc[kind]]:
@@ -1037,7 +1078,7 @@ def test_symbol_only_cache_agrees_with_a_build_and_the_construction2_loader(tmp_
         assert _construction2_generator_set(whole) == loaded, n
 
 
-def test_cache_json_schema():
+def test_cache_json_schema(tmp_path):
     doc = farey._cache_doc(generators(10))
     assert set(doc) == {"construction", "level", "denominators", "labels"}
     assert doc["construction"] == farey.CONSTRUCTION == 3
@@ -1048,10 +1089,16 @@ def test_cache_json_schema():
     assert doc["denominators"] == [q for _, q in symbol.vertices[1:-1]] == [1, 3, 5, 2, 5, 3, 1]
     assert symbol.pairings[1] == EVEN
     assert doc["labels"] == [0, -1, 2, 1, 1, 2, -1, 0]
-    assert farey._cache_doc(generators(1)) == {"construction": 3, "level": 1}
+    # level 1 has no symbol, and no record
+    with pytest.raises(ValueError, match=r"^the level-1 set has no Farey symbol to cache$"):
+        farey._cache_doc(generators(1))
+    with pytest.raises(ValueError):
+        save_cached_generators(generators(1), str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
     # documents round-trip through plain JSON text
-    again = farey._symbol_from_cache_doc(json.loads(json.dumps(doc)), 10)
-    assert again == symbol
+    again = json.loads(json.dumps(doc))
+    again = FareySymbol(10, tuple(again["denominators"]), tuple(again["labels"]))
+    assert again == symbol and again.vertices == symbol.vertices
     # the document ``generators`` prints keeps the construction-2 shape
     whole = generator_set_to_json(generators(10))
     assert set(whole) == {"construction", "level", "free", "elliptic2", "elliptic3", "farey"}
@@ -1063,8 +1110,8 @@ def test_cache_rejects_corruption(tmp_path):
     assert doc["denominators"] == [1, 3, 2, 3, 1]
     assert doc["labels"] == [0, -2, -1, -1, -2, 0]
     # 0/1, 1/3, then (1 + 1 * 4) / 3 does not divide
-    with pytest.raises(ValueError, match=r"^cache for level 13 has non-adjacent denominators$"):
-        farey._symbol_from_cache_doc(dict(doc, denominators=[1, 3, 4, 3, 1]), 13)
+    with pytest.raises(ValueError, match=r"^denominators 3, 4 are not adjacent$"):
+        _symbol_of(dict(doc, denominators=[1, 3, 4, 3, 1]), 13)
     # 0 is rejected before the next step divides by it, and True would pass
     # every other check as the first denominator
     for denominators in (
@@ -1074,18 +1121,124 @@ def test_cache_rejects_corruption(tmp_path):
         [1.0, 3, 2, 3, 1],
         [1, 3, "2", 3, 1],
     ):
-        with pytest.raises(ValueError, match=r"has a denominator that is not a positive integer$"):
-            farey._symbol_from_cache_doc(dict(doc, denominators=denominators), 13)
+        with pytest.raises(ValueError, match=r"^denominator .* is not an int in \(0, 13\)$"):
+            _symbol_of(dict(doc, denominators=denominators), 13)
     for bad in (-3, -1.0, True, "0"):
-        with pytest.raises(ValueError, match=r"^cache for level 13 has a malformed label code$"):
-            farey._symbol_from_cache_doc(dict(doc, labels=[0, bad, -1, -1, -2, 0]), 13)
+        with pytest.raises(ValueError, match=r"^malformed pairing label .* on side 1$"):
+            _symbol_of(dict(doc, labels=[0, bad, -1, -1, -2, 0]), 13)
     for bad in ("13", 13.0):
         _append_record(tmp_path, 13, json.dumps(dict(doc, level=bad)))
         assert load_cached_generators(13, str(tmp_path)) is None
-    # True == 1, so only the level's type tells this from level 1's document
-    level_one = {"construction": farey.CONSTRUCTION, "level": True}
-    _append_record(tmp_path, 1, json.dumps(level_one))
+    # level 1 is a constant: an old level-1 record reads as a miss, and
+    # generators(1, dir) returns the set without making a log
+    _append_record(tmp_path, 1, json.dumps({"construction": farey.CONSTRUCTION, "level": 1}))
     assert load_cached_generators(1, str(tmp_path)) is None
+    empty = tmp_path / "empty"
+    assert generators(1, str(empty)) is build_generators(1)
+    assert not empty.exists()
+
+
+def _frozen_symbol_checks(level, vertices, pairings):
+    """``FareySymbol.__post_init__`` as it checked a vertex chain with tuple
+    labels, before the symbol held denominators and int labels; frozen."""
+    v = vertices
+    if len(pairings) != len(v) - 1:
+        raise ValueError("one pairing label required per side")
+    for p, q in v[1:-1]:
+        if not 0 < q < level:
+            raise ValueError(f"vertex {p}/{q} has a denominator outside (0, {level})")
+    for (p1, q1), (p2, q2) in zip(v, v[1:]):
+        if p2 * q1 - p1 * q2 != 1:
+            raise ValueError(f"vertices {p1}/{q1}, {p2}/{q2} are not adjacent")
+    if v[:2] != ((-1, 0), (0, 1)) or v[-2:] != ((1, 1), (1, 0)):
+        raise ValueError("the vertex chain must run -1/0, 0/1, ..., 1/1, 1/0")
+    boundary = ("free", 0)
+    if boundary != pairings[0] or boundary != pairings[-1]:
+        raise ValueError("the two boundary sides must carry the pair label ('free', 0)")
+    seen = {}
+    for label in pairings:
+        if label not in (("even",), ("odd",)):
+            if len(label) != 2 or label[0] != "free" or type(label[1]) is not int:
+                raise ValueError(f"malformed pairing label {label!r}")
+            seen[label[1]] = seen.get(label[1], 0) + 1
+    if any(count != 2 for count in seen.values()):
+        raise ValueError("every free pair id must occur exactly twice")
+
+
+def _frozen_symbol_from_cache_doc(doc, n):
+    """The vertex chain of the level-n symbol a cache document codes, through
+    the two checks a read ran before the symbol had one form: the codec's
+    own (``_symbol_from_cache_doc``) and then the symbol's; frozen."""
+    denominators, codes = doc["denominators"], doc["labels"]
+    if {*map(type, denominators)} != {int} or min(denominators) < 1:
+        raise ValueError(f"cache for level {n} has a denominator that is not a positive integer")
+    if {*map(type, codes)} != {int} or min(codes) < -2:
+        raise ValueError(f"cache for level {n} has a malformed label code")
+    p, q = 0, denominators[0]
+    vertices = [(-1, 0), (p, q)]
+    for q_next in denominators[1:]:
+        p, rest = divmod(1 + p * q_next, q)
+        if rest:
+            raise ValueError(f"cache for level {n} has non-adjacent denominators")
+        q = q_next
+        vertices.append((p, q))
+    vertices.append((1, 0))
+    labels = [{-1: ("even",), -2: ("odd",)}[c] if c < 0 else ("free", c) for c in codes]
+    _frozen_symbol_checks(n, tuple(vertices), tuple(labels))
+    return tuple(vertices)
+
+
+def _mutated_docs(doc, rng):
+    """Cache documents one corruption away from ``doc``."""
+    qs, labels = doc["denominators"], doc["labels"]
+
+    def with_(key, values):
+        return dict(doc, **{key: values})
+
+    for i in range(len(qs)):
+        for delta in (1, -1):
+            yield with_("denominators", qs[:i] + [qs[i] + delta] + qs[i + 1 :])
+    pairs = [(i, i + 1) for i in range(len(qs) - 1)]
+    pairs += [tuple(sorted(rng.sample(range(len(qs)), 2))) for _ in range(5) if len(qs) > 1]
+    for i, j in pairs:
+        swapped = list(qs)
+        swapped[i], swapped[j] = qs[j], qs[i]
+        yield with_("denominators", swapped)
+    yield with_("denominators", [2] + qs[1:])
+    yield with_("denominators", qs[:-1])
+    yield with_("labels", labels[:-1])
+    ids = sorted({c for c in labels if c > 0}) or [1]
+    for side in range(len(labels)):
+        other = next((c for c in ids if c != labels[side]), ids[0] + 1)
+        for bad in (-3, True, 1.0, other, 0, EVEN, ODD):
+            yield with_("labels", labels[:side] + [bad] + labels[side + 1 :])
+    for side in range(len(labels) - 1):
+        swapped = list(labels)
+        swapped[side], swapped[side + 1] = labels[side + 1], labels[side]
+        yield with_("labels", swapped)
+
+
+def test_symbol_check_matches_the_frozen_pair_of_checks():
+    # the one constructor accepts exactly the documents the codec's check
+    # and the old symbol check accepted together, with the same vertices
+    rng = random.Random(67)
+    accepted = rejected = 0
+    for n in range(2, 121):
+        doc = json.loads(json.dumps(farey._cache_doc(build_generators(n))))
+        for mutated in _mutated_docs(doc, rng):
+            try:
+                expected = _frozen_symbol_from_cache_doc(mutated, n)
+            except (ValueError, LookupError, TypeError):
+                expected = None
+            try:
+                symbol = _symbol_of(mutated, n)
+            except ValueError:
+                assert expected is None, (n, mutated)
+                rejected += 1
+            else:
+                assert symbol.vertices == expected, (n, mutated)
+                accepted += 1
+    assert accepted > 1000 and rejected > 1000, (accepted, rejected)
 
 
 def test_cache_with_swapped_boundary_id_is_rebuilt(tmp_path):
@@ -1162,7 +1315,7 @@ def test_cache_with_corrupt_elliptic_lists_is_rebuilt(tmp_path):
     # but the generators' level rejects the symbol
     swapped = [0, -1, -2, -1, -2, 0]
     with pytest.raises(RuntimeError, match=r"^generator \(3, -1, 10, -3\) escapes level 13$"):
-        farey._extract_generators(farey._symbol_from_cache_doc(dict(expected, labels=swapped), 13))
+        farey._extract_generators(_symbol_of(dict(expected, labels=swapped), 13))
     relabelled = [swapped, [0, -1, -1, -1, -1, 0], [0, -2, -2, -2, -2, 0]]
     texts = [json.dumps(dict(expected, labels=labels)) for labels in relabelled]
     _assert_each_record_is_rebuilt(tmp_path, 13, texts)
@@ -1198,14 +1351,16 @@ def test_cache_loader_never_builds(tmp_path, monkeypatch):
     _append_record(tmp_path, 11, json.dumps(other_level))
     expected13 = _record_text(build_generators(13))
     _append_record(tmp_path, 13, json.dumps({"construction": farey.CONSTRUCTION, "level": 13}))
-    level_one = build_generators(1)
-    save_cached_generators(level_one, str(tmp_path))
+    level_one_dir = tmp_path / "one"
     with monkeypatch.context() as patch:
         patch.setattr(farey, "build_generators", refuse_to_build)
         assert load_cached_generators(11, str(tmp_path)) is None
         assert load_cached_generators(13, str(tmp_path)) is None
-        loaded = load_cached_generators(1, str(tmp_path))
-    assert loaded is level_one
+        # level 1 is a constant: neither built, nor loaded, nor written
+        assert generators(1, str(level_one_dir)) is farey._LEVEL_ONE
+        assert generators(1, str(tmp_path)) is farey._LEVEL_ONE
+    assert not level_one_dir.exists()
+    assert [header for header, _ in _log_records(tmp_path)] == ["11", "13"]
     _as_in_a_fresh_process()
     gens = generators(13, str(tmp_path))
     assert gens == build_generators(13)
@@ -1219,8 +1374,10 @@ def _frozen_per_level_file_text(gens):
     doc = {"construction": 3, "level": gens.level}
     if gens.symbol is not None:
         doc["denominators"] = [q for _, q in gens.symbol.vertices[1:-1]]
-        codes = {EVEN: -1, ODD: -2}
-        doc["labels"] = [codes.get(label, label[-1]) for label in gens.symbol.pairings]
+        # the labels as ``generators`` prints them, coded as the files coded them
+        codes = {("even",): -1, ("odd",): -2}
+        printed = generator_set_to_json(gens)["farey"]["pairings"]
+        doc["labels"] = [codes.get(tuple(label), label[-1]) for label in printed]
     return json.dumps(doc, sort_keys=True)
 
 
@@ -1274,10 +1431,10 @@ def test_torn_record_then_a_good_append_loads_the_good_one(tmp_path):
     # a write cut inside its header indexes nothing
     with open(tmp_path / LOG_NAME, "ab") as log:
         log.write(b"\n1")
-    save_cached_generators(build_generators(1), d)
+    save_cached_generators(build_generators(17), d)
     _as_in_a_fresh_process()
-    assert load_cached_generators(1, d) is build_generators(1)
-    assert _log_records(tmp_path)[-2:] == [("1", ""), ("1", _record_text(build_generators(1)))]
+    assert load_cached_generators(17, d) == build_generators(17)
+    assert _log_records(tmp_path)[-2:] == [("1", ""), ("17", _record_text(build_generators(17)))]
 
 
 def test_record_without_a_numeric_header_is_skipped(tmp_path):
