@@ -68,41 +68,58 @@ def dedekind_sum_fast(h: int, k: int) -> Fraction:
     return Fraction(h + inv - k * (3 + kernels.psi4(inv, (inv * h - 1) // k, k, h)), 12 * k)
 
 
+class EchelonBasis:
+    """A fraction-free echelon basis of integer rows, grown one row at a time.
+
+    ``add(row)`` reduces the row against the basis rows in the order they were
+    added: at basis row b's pivot column j, row becomes b[j] * row - row[j] * b,
+    so every intermediate stays an exact integer.  The reduced row is divided
+    by the gcd of its entries, which keeps entries from growing row after row,
+    and joins the basis, pivoting at its first nonzero column, unless it is
+    zero.  The basis spans the rows added so far, so its size, which ``add``
+    returns, is their rank over the rationals.
+    """
+
+    __slots__ = ("basis",)
+
+    def __init__(self) -> None:
+        self.basis: list[tuple[int, Sequence[int]]] = []  # (pivot column, row)
+
+    def add(self, row: Sequence[int]) -> int:
+        """Add one row; return the rank of the rows added so far."""
+        for j, b in self.basis:
+            x = row[j]
+            if x:
+                p = b[j]
+                row = [p * u - x * v for u, v in zip(row, b)]
+        g = math.gcd(*row)
+        if g:
+            if g > 1:
+                row = [u // g for u in row]
+            self.basis.append((next(j for j, u in enumerate(row) if u), row))
+        return len(self.basis)
+
+
 def integer_rank(rows) -> int:
-    """Rank over the rationals of an integer matrix, by a fraction-free echelon basis.
+    """Rank over the rationals of an integer matrix, through ``EchelonBasis``.
 
     ``rows`` is a sequence of equal-length integer sequences; the empty matrix
     has rank 0, and a ragged one raises ``ValueError`` (every row is checked
-    before any is reduced).  Rows enter one at a time.  Each is reduced against
-    the basis rows in the order they were added: at basis row b's pivot column
-    j, row becomes b[j] * row - row[j] * b, so every intermediate stays an
-    exact integer.  The reduced row is divided by the gcd of its entries, which
-    keeps entries from growing row after row, and joins the basis, pivoting at
-    its first nonzero column, unless it is zero.  The basis spans the rows seen
-    so far, so the rank is its size, and the walk stops as soon as that size
-    reaches min(rows, columns).
+    before any is reduced).  Rows enter the basis one at a time, and the walk
+    stops as soon as the rank reaches min(rows, columns).
     """
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
     if any(len(row) != ncols for row in rows):
         raise ValueError("ragged matrix")
     full = min(len(rows), ncols)
-    basis: list[tuple[int, Sequence[int]]] = []  # (pivot column, row)
+    echelon = EchelonBasis()
+    rank = 0
     for row in rows:
-        if len(basis) == full:
+        if rank == full:
             break
-        for j, b in basis:
-            x = row[j]
-            if x:
-                p = b[j]
-                row = [p * u - x * v for u, v in zip(row, b)]
-        g = math.gcd(*row)
-        if not g:
-            continue
-        if g > 1:
-            row = [u // g for u in row]
-        basis.append((next(j for j, u in enumerate(row) if u), row))
-    return len(basis)
+        rank = echelon.add(row)
+    return rank
 
 
 def fraction_to_str(x: Fraction) -> str:

@@ -218,7 +218,10 @@ def farey_symbol(n: int) -> FareySymbol:
     # a subdivision only makes mediants of larger denominator, so bucket q is
     # complete when it is reached
     for q in range(2, n):
-        for p, v_left, key in sorted(buckets.pop(q, ())):
+        bucket = buckets.pop(q, None)
+        if bucket is None:
+            continue
+        for p, v_left, key in sorted(bucket):
             if labels[v_left] is not None:
                 continue  # paired after it was queued
             del waiting[key]

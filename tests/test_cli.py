@@ -126,6 +126,44 @@ PINNED_STDOUT = [
         '{"checked": 200, "level": 25, "ok": true, "seed": 7, "trials": 200}\n',
     ),
     ("verify conjecture3 --max 60", '{"checked": 59, "max_n": 60, "mismatches": [], "ok": true}\n'),
+    # beta, rank and the beta scans, whose sigma matrices stop reading rows
+    # once floors and a full rank decide the level: the bytes the full
+    # matrices gave
+    ("verify conjecture1 --max 120", '{"checked": 482, "max_n": 120, "mismatches": [], "ok": true}\n'),
+    ("verify conjecture2 --max 120", '{"checked": 119, "max_n": 120, "mismatches": [], "ok": true}\n'),
+    (
+        "verify table2 --max 120",
+        '{"max_n": 120, "ok": true, "rows": [{"consistent": true, "expected": [12, 24], '
+        '"observed": [12, 24], "residue": 1}, {"consistent": true, "expected": [1], '
+        '"observed": [1], "residue": 2}, {"consistent": true, "expected": [2], "observed": '
+        '[2], "residue": 3}, {"consistent": true, "expected": [3], "observed": [3], '
+        '"residue": 4}, {"consistent": true, "expected": [4], "observed": [4], "residue": '
+        '5}, {"consistent": true, "expected": [1], "observed": [1], "residue": 6}, '
+        '{"consistent": true, "expected": [6], "observed": [6], "residue": 7}, '
+        '{"consistent": true, "expected": [1], "observed": [1], "residue": 8}, '
+        '{"consistent": true, "expected": [4, 8], "observed": [4, 8], "residue": 9}, '
+        '{"consistent": true, "expected": [3], "observed": [3], "residue": 10}, '
+        '{"consistent": true, "expected": [2], "observed": [2], "residue": 11}, '
+        '{"consistent": true, "expected": [1], "observed": [1], "residue": 12}, '
+        '{"consistent": true, "expected": [12], "observed": [12], "residue": 13}, '
+        '{"consistent": true, "expected": [1], "observed": [1], "residue": 14}, '
+        '{"consistent": true, "expected": [2], "observed": [2], "residue": 15}, '
+        '{"consistent": true, "expected": [3], "observed": [3], "residue": 16}, '
+        '{"consistent": true, "expected": [4], "observed": [4], "residue": 17}, '
+        '{"consistent": true, "expected": [1], "observed": [1], "residue": 18}, '
+        '{"consistent": true, "expected": [6], "observed": [6], "residue": 19}, '
+        '{"consistent": true, "expected": [1], "observed": [1], "residue": 20}, '
+        '{"consistent": true, "expected": [4], "observed": [4], "residue": 21}, '
+        '{"consistent": true, "expected": [3], "observed": [3], "residue": 22}, '
+        '{"consistent": true, "expected": [2], "observed": [2], "residue": 23}, '
+        '{"consistent": true, "expected": [1], "observed": [1], "residue": 24}]}\n',
+    ),
+    (
+        "beta --level 36",
+        '{"beta": {"12": 1, "18": 1, "2": 1, "3": 2, "36": 1, "4": 3, "6": 1, "9": 8}, '
+        '"level": 36}\n',
+    ),
+    ("rank --level 36", '{"level": 36, "rank": 8, "rows": 13, "t_minus_1": 8}\n'),
     (
         "eval-char --level 12 --chi 3 --r1 5 --rl 2=1/3,3=-1/4,4=2/5,6=1/6,12=-7/12 --matrix 5,2,12,5",
         '{"value": "43/60"}\n',
