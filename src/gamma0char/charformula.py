@@ -4,8 +4,8 @@ A parameter triple (Dirichlet character, twelfth-root exponent r1, rational
 weights r_l on the divisors l > 1) evaluates on any element of Gamma0(N)
 without decomposing it into generators.  The sigma matrix collects the values
 of the difference homomorphisms on the free generators; its gcd per column is
-the positive generator beta(N, l) of the image, and its rank drives
-conjecture 3 and the surjectivity analysis in ``verify``.
+the positive generator beta(N, l) of the image, and its rank enters
+the surjectivity analysis in ``verify``.
 
 Both run on plain integers.  ``CharacterParams`` compiles each triple once
 into integers over one modulus M; chi(d) stays in the character's own table,
@@ -14,24 +14,22 @@ integer sum.  Every sigma value is taken from unpacked entries:
 ``kernels.psi4`` of the matrix minus ``sl2.psi_conjugate``, the one routine
 that forms the conjugate.
 
-``sigma_matrix`` reads the rows of a level only until its rank and its
-column gcds are decided, and leaves the rest of the matrix to be filled on
-first read of ``SigmaMatrix.entries``.  Two facts decide them early:
-
-- beta floor: for l | N with l < N, Gamma0(N) lies in Gamma0(l) and sigma_l
-  is the same function on both, so beta(l, l) divides beta(N, l); and
-  beta(N, l) divides the gcd G of sigma_l over any elements of Gamma0(N).
-  Once G over a prefix of column l equals beta(l, l), beta(N, l) = beta(l, l)
-  is proved and column l is read no further.  beta(l, l) is taken from the
-  table only: level l's own matrix read its column l over every row;
-- full rank: the rank of a prefix of rows is at most the matrix's rank,
-  which is at most the column count t - 1, so a prefix of rank t - 1 proves
-  it.
+``sigma_matrix`` reads each column of a level only until its gcd is
+decided, and leaves the matrix itself to be filled on first read of
+``SigmaMatrix.entries``.  The beta floor decides a column early: for l | N
+with l < N, Gamma0(N) lies in Gamma0(l) and sigma_l is the same function on
+both, so beta(l, l) divides beta(N, l); and beta(N, l) divides the gcd G of
+sigma_l over any elements of Gamma0(N).  Once G over a prefix of column l
+equals beta(l, l), beta(N, l) = beta(l, l) is proved and column l is read no
+further.  beta(l, l) is taken from the table only: level l's own matrix read
+its column l over every row.
 
 Column N has no floor and is read over every row.  A level whose floors are
 not all reached (a counterexample to conjecture 1, or a level visited with
-no smaller level in the table) reads every column it needs over every row,
-which is the exact path.
+no smaller level in the table) reads every column over every row, which is
+the exact path.  The rank of the matrix is not decided here:
+``verify.verify_conjecture3`` proves it from the cusp parabolics, and
+``exact.integer_rank`` of ``SigmaMatrix.entries`` is the one exact rank.
 
 A scan visits each level once, so ``sigma_matrix`` keeps no matrix.  The
 sigma layer's one per-process memo is ``_beta_table``, the column gcds
@@ -41,13 +39,12 @@ beta(N, l) that ``beta`` reads and later levels take their floors from.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .dirichlet import DirichletCharacter, divisors
-from .exact import CircleExponent, EchelonBasis, as_fraction, as_int
+from .exact import CircleExponent, as_fraction, as_int
 from .farey import decompose, exponent_sum, generators
 from .kernels import psi4
 from .sl2 import Gamma0Element, UniModular, psi_conjugate, sigma
@@ -135,35 +132,28 @@ def eval_character(params: CharacterParams, gamma: Gamma0Element) -> CircleExpon
     return CircleExponent.from_residue(total, params.value_modulus)
 
 
-def _sigma_row(g: UniModular, cols: Sequence[int]) -> tuple[int, ...]:
-    """sigma_l(g) for each l of cols: one psi4 of g and one per column."""
-    a, b, c, d = g.a, g.b, g.c, g.d
-    psi_g = psi4(a, b, c, d)
-    return tuple([psi_g - psi_conjugate(a, b, c, d, l) for l in cols])
-
-
 @dataclass(frozen=True)
 class SigmaMatrix:
     """Values of the difference homomorphisms on the free generators.
 
-    One row per infinite-order generator, one column per divisor l > 1 of the
-    level; torsion generators are omitted since every homomorphism to the
-    integers kills them.  ``rank`` is the matrix's rank over the rationals,
-    decided when the matrix was built.  ``entries``, the full r x (t - 1)
-    tuple of rows, is completed on its first read: the rows ``sigma_matrix``
-    read in full are kept in ``read``, and the rows of the generators in
-    ``unread`` are computed then.
+    One row per infinite-order generator in ``free``, one column per divisor
+    l > 1 of the level in ``cols``; torsion generators are omitted since
+    every homomorphism to the integers kills them.  ``entries``, the
+    r x (t - 1) tuple of rows, is computed on its first read.
     """
 
     level: int
     cols: tuple[int, ...]
-    rank: int
-    read: tuple[tuple[int, ...], ...] = field(repr=False)
-    unread: tuple[UniModular, ...] = field(repr=False)
+    free: tuple[UniModular, ...] = field(repr=False)
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        return self.read + tuple(_sigma_row(g, self.cols) for g in self.unread)
+        rows = []
+        for g in self.free:
+            a, b, c, d = g.a, g.b, g.c, g.d
+            psi_g = psi4(a, b, c, d)
+            rows.append(tuple([psi_g - psi_conjugate(a, b, c, d, l) for l in self.cols]))
+        return tuple(rows)
 
 
 # beta(N, l) for every level whose sigma matrix was computed: {N: {l: beta}}
@@ -173,51 +163,34 @@ _beta_table: dict[int, dict[int, int]] = {}
 def sigma_matrix(n: int) -> SigmaMatrix:
     """The r x (t-1) integer matrix of sigma values at level n >= 2.
 
-    Each call reads the level's rows afresh and records its column gcds, the
-    beta(n, l), for ``beta``.  Rows are read in full, and added to an
-    ``EchelonBasis``, until their rank is t - 1; after that a row reads only
-    the columns still open.  Column l < n closes when its gcd so far equals
-    its floor beta(l, l), read from ``_beta_table`` when level l is there
-    with a positive value; column n never closes.  When the rank is t - 1
-    and every column below n is closed, each further row costs two psi4
-    calls, for column n.  The rank and every beta equal those of the full
-    matrix (see the module docstring); ``entries`` fills in the rows not
-    read in full.
+    Each call reads the level's columns afresh and records their gcds, the
+    beta(n, l), for ``beta``.  Each row reads only the columns still open.
+    Column l < n closes when its gcd so far equals its floor beta(l, l), read
+    from ``_beta_table`` when level l is there with a positive value; column
+    n never closes, so once every column below n is closed a row costs two
+    psi4 calls.  Every beta equals the gcd of the full column (see the module
+    docstring); ``entries`` reads the whole matrix.
     """
     if n < 2:
         raise ValueError(f"level must be at least 2, got {n}")
     # every free generator lies in Gamma0(n), so each column l divides its c
     cols = tuple(l for l in divisors(n) if l > 1)
-    full = len(cols)
     free = generators(n).free
     # beta(l, l) for each column l < n where the table has a positive one;
     # None, which no gcd equals, keeps a column open
     floors = [_beta_table.get(l, {}).get(l, 0) for l in cols[:-1]]
     floors = [f if f > 0 else None for f in floors] + [None]
-    gcds = [0] * full
-    open_cols = list(range(full))  # the columns a row reads once the rank is full
-    echelon = EchelonBasis()
-    rank = 0
-    read = []  # the rows read in full, a prefix of the matrix
+    gcds = [0] * len(cols)
+    open_cols = list(range(len(cols)))
     for g in free:
-        if rank < full or len(open_cols) == full:
-            row = _sigma_row(g, cols)
-            read.append(row)
-            if rank < full:
-                rank = echelon.add(row)
-            gcds = [math.gcd(x, y) for x, y in zip(gcds, row)]
-        else:
-            # inline, not _sigma_row: most of these rows read column n alone,
-            # and a list per row made the sigma work of a scan to 288 about
-            # 15% slower (2-core x86 host, Python 3.11)
-            a, b, c, d = g.a, g.b, g.c, g.d
-            psi_g = psi4(a, b, c, d)
-            for j in open_cols:
-                gcds[j] = math.gcd(gcds[j], psi_g - psi_conjugate(a, b, c, d, cols[j]))
+        a, b, c, d = g.a, g.b, g.c, g.d
+        psi_g = psi4(a, b, c, d)
+        for j in open_cols:
+            gcds[j] = math.gcd(gcds[j], psi_g - psi_conjugate(a, b, c, d, cols[j]))
         if len(open_cols) > 1:  # column n, the last, never closes
             open_cols = [j for j in open_cols if gcds[j] != floors[j]]
     _beta_table[n] = dict(zip(cols, gcds))
-    return SigmaMatrix(n, cols, rank, tuple(read), free[len(read) :])
+    return SigmaMatrix(n, cols, free)
 
 
 def beta(n: int, l: int) -> int:

@@ -1,9 +1,8 @@
-"""The sigma matrix read only until its level is decided, against the full matrix.
+"""The sigma matrix read only until its column gcds are decided, against the full matrix.
 
 ``sigma_matrix`` stops reading a column l < N once the gcd of its prefix
-equals the floor beta(l, l) from ``_beta_table``, and stops reading full rows
-once their rank is t - 1.  The oracle is the former ``sigma_matrix``, frozen
-below, which reads every row over every column.
+equals the floor beta(l, l) from ``_beta_table``.  The oracle is the former
+``sigma_matrix``, frozen below, which reads every row over every column.
 """
 
 import math
@@ -15,7 +14,7 @@ import pytest
 from gamma0char import charformula
 from gamma0char.charformula import beta, sigma_matrix
 from gamma0char.dirichlet import divisors
-from gamma0char.exact import EchelonBasis, integer_rank
+from gamma0char.exact import integer_rank
 from gamma0char.farey import generators
 from gamma0char.kernels import psi4
 from gamma0char.sl2 import psi_conjugate
@@ -87,19 +86,14 @@ def fill_floors(n):
 
 
 def test_scan_order_matches_the_full_matrix_oracle(empty_table):
-    early = 0
     for n in range(2, 601):
         mat = sigma_matrix(n)
-        unread = len(mat.unread)
         old = parent_sigma_matrix(n)
         assert mat.level == n and mat.cols == old.cols, n
-        assert mat.rank == integer_rank(old.entries), n
         assert empty_table[n] == _parent_beta_table[n], n
         assert [beta(n, l) for l in mat.cols] == [_parent_beta_table[n][l] for l in old.cols]
         assert mat.entries == old.entries, n
-        early += unread > 0
-    # most levels stop reading full rows early
-    assert early > 400
+        assert integer_rank(mat.entries) == integer_rank(old.entries), n
 
 
 def test_fewer_psi4_calls_than_the_full_matrix(empty_table, monkeypatch):
@@ -111,8 +105,8 @@ def test_fewer_psi4_calls_than_the_full_matrix(empty_table, monkeypatch):
     # column n is read over every row; every other column stops early
     assert per_column[n] == r
     assert all(per_column[l] < r for l in mat.cols[:-1])
-    assert mat.rank == t - 1 and len(mat.read) < r
     old = parent_sigma_matrix(n)
+    assert integer_rank(mat.entries) == integer_rank(old.entries) == t - 1
     assert empty_table[n] == _parent_beta_table[n]
     assert mat.entries == old.entries
 
@@ -140,14 +134,5 @@ def test_a_standalone_level_reads_every_row(empty_table, monkeypatch):
     r, t = len(generators(n).free), len(divisors(n))
     assert calls == r * t
     assert all(per_column[l] == r for l in mat.cols)
-    assert len(mat.read) == r and not mat.unread
     assert mat.entries == parent_sigma_matrix(n).entries
     assert empty_table == {n: _parent_beta_table[n]}
-
-
-def test_echelon_basis_reports_the_rank_of_each_prefix():
-    mat = parent_sigma_matrix(60)
-    echelon = EchelonBasis()
-    for i, row in enumerate(mat.entries, 1):
-        assert echelon.add(row) == integer_rank(mat.entries[:i])
-    assert echelon.add([0] * len(mat.cols)) == integer_rank(mat.entries)

@@ -31,6 +31,7 @@ from gamma0char.sl2 import (
     psi,
     sigma,
 )
+from gamma0char.verify import cusp_parabolics
 
 
 def test_unimodular_validation():
@@ -185,16 +186,20 @@ def test_sigma_rejects_a_non_integer_divisor():
 
 
 def test_sigma_on_cusp_parabolics_closed_form():
-    # P_c = (1 - c*w, w; -c^2*w, 1 + c*w) with w = N / gcd(N, c^2) is the
-    # parabolic element of Gamma0(N) fixing the cusp 1/c, for each c | N;
+    # cusp_parabolics(N) yields, for each c | N in order, the parabolic
+    # element P_c of Gamma0(N) fixing the cusp 1/c, with w = N / gcd(N, c^2);
     # sigma_l(P_c) = w * (l - gcd(c, l)^2) / l for every l | N
     checked = 0
     for n in range(2, 1001):
         divs = divisors(n)
-        for c in divs:
+        parabolics = list(cusp_parabolics(n))
+        assert len(parabolics) == len(divs), n
+        for c, p in zip(divs, parabolics):
             w = n // gcd(n, c * c)
-            p = (1 - c * w, w, -c * c * w, 1 + c * w)
-            assert p[0] * p[3] - p[1] * p[2] == 1 and p[2] % n == 0, (n, c)
+            a, b, lower, d = p
+            assert a * d - b * lower == 1 and lower % n == 0, (n, c)
+            # trace 2, top-right entry w, and (a + b*c) / (lower + d*c) = 1/c
+            assert a + d == 2 and b == w and c * (a + b * c) == lower + d * c, (n, c)
             gamma = Gamma0Element(UniModular(*p), n)
             for l in divs:
                 g = gcd(c, l)

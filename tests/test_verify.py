@@ -14,17 +14,25 @@ import pytest
 from gamma0char import farey
 from gamma0char import verify as verify_mod
 
-from gamma0char.charformula import CharacterParams, TheoremViolation, eval_character
+from gamma0char.charformula import (
+    CharacterParams,
+    SigmaMatrix,
+    TheoremViolation,
+    eval_character,
+    sigma_matrix,
+)
+from gamma0char.cli import main
 from gamma0char.dirichlet import divisors, enumerate_characters, evaluate
 from gamma0char.exact import CircleExponent, integer_rank
 from gamma0char.farey import closed_form_counts, generators, index_gamma0
 from gamma0char.kernels import psi4
 from gamma0char.sampling import random_sl2
-from gamma0char.sl2 import Gamma0Element, NEG_I, omega, psi, psi_conjugate
+from gamma0char.sl2 import Gamma0Element, NEG_I, T, mul4, omega, pow4, psi, psi_conjugate
 from gamma0char.verify import (
     BETA_BY_RESIDUE,
     SURJECTIVE_LEVELS,
     _torsion_image,
+    cusp_parabolics,
     predicted_beta,
     verify_conjecture1,
     verify_conjecture2,
@@ -195,25 +203,130 @@ def test_conjecture3_report():
 
 
 def test_cusp_parabolics_certify_the_sigma_rank():
-    # for each c | N, P_c = (1 - c*w, w; -c^2*w, 1 + c*w) with
-    # w = N / gcd(N, c^2) is a parabolic element of Gamma0(N) fixing the cusp
-    # 1/c; its sigma row, read through psi4 (which checks the determinant),
-    # is sigma_l(P_c) = w * (l - gcd(c, l)^2) / l, and the t rows have rank
-    # t - 1: a certificate for conjecture 3 at each level
+    # each P_c of cusp_parabolics(N) lies in Gamma0(N); its sigma row, read
+    # through psi4 (which checks the determinant), is
+    # sigma_l(P_c) = w * (l - gcd(c, l)^2) / l with w = N / gcd(N, c^2), and
+    # the t rows have rank t - 1: a certificate for conjecture 3 at each level
     for n in range(2, 2001):
         divs = divisors(n)
         cols = divs[1:]
         rows = []
-        for c in divs:
+        for c, (a, b, lower, d) in zip(divs, cusp_parabolics(n), strict=True):
             w = n // math.gcd(n, c * c)
-            assert c * c * w % n == 0, (n, c)
-            a, b, lower, d = 1 - c * w, w, -c * c * w, 1 + c * w
+            assert lower % n == 0, (n, c)
             psi_p = psi4(a, b, lower, d)
             row = [psi_p - psi_conjugate(a, b, lower, d, l) for l in cols]
             closed = [w * (l - math.gcd(c, l) ** 2) for l in cols]
             assert [x * l for x, l in zip(row, cols)] == closed, (n, c)
             rows.append(row)
         assert integer_rank(rows) == len(cols), n
+
+
+def parent_verify_conjecture3(max_n, ranks):
+    """``verify_conjecture3`` before the cusp-parabolic certificate, frozen:
+    the rank of each level's sigma matrix over every free generator, stored
+    in ``ranks``."""
+    found = []
+    for n in range(2, max_n + 1):
+        cols = divisors(n)[1:]
+        rows = []
+        for g in generators(n).free:
+            a, b, c, d = g.a, g.b, g.c, g.d
+            psi_g = psi4(a, b, c, d)
+            rows.append([psi_g - psi_conjugate(a, b, c, d, l) for l in cols])
+        rank = ranks[n] = integer_rank(rows)
+        expected = len(cols)
+        found.append(None if rank == expected else {"N": n, "rank": rank, "t_minus_1": expected})
+    mismatches = [item for item in found if item]
+    return {"ok": not mismatches, "max_n": max_n, "checked": len(found), "mismatches": mismatches}
+
+
+def test_conjecture3_certificate_matches_the_frozen_full_matrix_scan(monkeypatch):
+    ranks = {}
+    expected = parent_verify_conjecture3(600, ranks)
+    for n in range(2, 601):
+        assert verify_mod._parabolic_rank(n) == ranks[n] == len(divisors(n)) - 1, n
+
+    # no level falls back, so the scan builds no sigma matrix and no Farey symbol
+    def build(n):
+        raise AssertionError(f"built level {n}")
+
+    monkeypatch.setattr(verify_mod, "sigma_matrix", build)
+    monkeypatch.setattr(farey, "_memo", {})
+    monkeypatch.setattr(farey, "build_generators", build)
+    assert verify_conjecture3(600) == expected
+
+
+def t_conjugates(n):
+    """One conjugate U^k T U^-k of T per divisor of n, U = (1, 0; n, 1):
+    every row of sigma is sigma(T), so the rows have rank 1."""
+    u = (1, 0, n, 1)
+    for k in range(len(divisors(n))):
+        yield mul4(mul4(pow4(u, k), T.entries()), pow4(u, -k))
+
+
+def test_conjecture3_falls_back_to_the_full_matrix(monkeypatch):
+    fallbacks = []
+
+    def counted(n):
+        fallbacks.append(n)
+        return sigma_matrix(n)
+
+    monkeypatch.setattr(verify_mod, "cusp_parabolics", t_conjugates)
+    monkeypatch.setattr(verify_mod, "sigma_matrix", counted)
+    assert verify_conjecture3(60) == parent_verify_conjecture3(60, {})
+    # a prime level has t - 1 = 1, which rank 1 proves
+    assert fallbacks == [n for n in range(2, 61) if len(divisors(n)) > 2]
+
+
+def test_conjecture3_reports_a_short_rank_after_the_fallback(monkeypatch):
+    def one_row(n):
+        return SigmaMatrix(n, tuple(divisors(n)[1:]), (T,))
+
+    monkeypatch.setattr(verify_mod, "cusp_parabolics", t_conjugates)
+    monkeypatch.setattr(verify_mod, "sigma_matrix", one_row)
+    report = verify_conjecture3(6)
+    assert report == {
+        "ok": False,
+        "max_n": 6,
+        "checked": 5,
+        "mismatches": [
+            {"N": 4, "rank": 1, "t_minus_1": 2},
+            {"N": 6, "rank": 1, "t_minus_1": 3},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda n: (1, 0, 1, 1), r"^\(1,0,1,1\) is not in Gamma0\(2\): 2 does not divide 1$"),
+        (lambda n: (1, 1, n, 2), r"^determinant of \(1,1,2,2\) is 0, not 1$"),
+    ],
+    ids=["c not a multiple of N", "determinant not 1"],
+)
+def test_conjecture3_rejects_an_element_outside_gamma0(monkeypatch, capsys, bad, message):
+    # the bad element comes last, after valid ones, and no sigma is read
+    reads = []
+
+    def family(n):
+        yield from cusp_parabolics(n)
+        yield bad(n)
+
+    def counted(a, b, c, d, l):
+        reads.append(l)
+        return psi_conjugate(a, b, c, d, l)
+
+    monkeypatch.setattr(verify_mod, "cusp_parabolics", family)
+    monkeypatch.setattr(verify_mod, "psi_conjugate", counted)
+    with pytest.raises(ArithmeticError, match=message) as info:
+        verify_conjecture3(10)
+    assert type(info.value) is ArithmeticError and reads == []
+    assert main(["verify", "conjecture3", "--max", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and reads == []
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: ArithmeticError: "), lines
 
 
 def _fraction_determinant(rows):
@@ -366,7 +479,13 @@ def test_run_paths_never_import_numpy():
     script = """
 import sys
 from fractions import Fraction
-from gamma0char.charformula import CharacterParams, TheoremViolation, eval_character
+from gamma0char.charformula import (
+    CharacterParams,
+    SigmaMatrix,
+    TheoremViolation,
+    eval_character,
+    sigma_matrix,
+)
 from gamma0char.dirichlet import character_from_id
 from gamma0char.sl2 import Gamma0Element, UniModular
 from gamma0char.verify import (
