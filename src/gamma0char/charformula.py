@@ -27,9 +27,9 @@ its column l over every row.
 Column N has no floor and is read over every row.  A level whose floors are
 not all reached (a counterexample to conjecture 1, or a level visited with
 no smaller level in the table) reads every column over every row, which is
-the exact path.  The rank of the matrix is not decided here:
-``verify.verify_conjecture3`` proves it from the cusp parabolics, and
-``exact.integer_rank`` of ``SigmaMatrix.entries`` is the one exact rank.
+the exact path.  The rank of the matrix is decided by ``verify.sigma_rank``,
+which proves it from the cusp parabolics and falls back to
+``exact.integer_rank`` of ``SigmaMatrix.entries`` only on a short rank.
 
 A scan visits each level once, so ``sigma_matrix`` keeps no matrix.  The
 sigma layer's one per-process memo is ``_beta_table``, the column gcds

@@ -33,14 +33,8 @@ from .charformula import (
     sigma_matrix,
 )
 from .dirichlet import character_from_id, divisors, enumerate_characters, unit_group_structure
-from .exact import (
-    dedekind_sum,
-    dedekind_sum_fast,
-    fraction_from_str,
-    fraction_to_str,
-    integer_rank,
-)
-from .farey import generator_set_to_json, generators, set_default_cache_dir
+from .exact import dedekind_sum, dedekind_sum_fast, fraction_from_str, fraction_to_str
+from .farey import closed_form_counts, generator_set_to_json, generators, set_default_cache_dir
 from .sl2 import Gamma0Element, UniModular, psi, sigma
 
 
@@ -137,12 +131,13 @@ def _beta(args: argparse.Namespace) -> dict:
 
 
 def _rank(args: argparse.Namespace) -> dict:
-    mat = sigma_matrix(args.level)
+    # sigma_rank rejects levels below 2; the matrix has r rows and t - 1 columns
+    n = args.level
     return {
-        "level": args.level,
-        "rank": integer_rank(mat.entries),
-        "rows": len(mat.entries),
-        "t_minus_1": len(mat.cols),
+        "level": n,
+        "rank": verify_mod.sigma_rank(n),
+        "rows": closed_form_counts(n)[0],
+        "t_minus_1": len(divisors(n)) - 1,
     }
 
 

@@ -411,9 +411,12 @@ def generators(n: int, cache_dir: str | None = None) -> GeneratorSet:
     directory's log and appends one only if none loads.  A level whose
     record is missing or corrupt is rebuilt and gets a fresh record, which
     later reads find.  Level 1's set {S, ST} is a constant, returned before
-    the memo and the cache: it has no Farey symbol and no record.
+    the memo and the cache: it has no Farey symbol and no record.  A level
+    below 1 is refused there too.
     """
     global _memo_dir
+    if n < 1:
+        raise ValueError(f"level must be positive, got {n}")
     if n == 1:
         return _LEVEL_ONE
     cache_dir = cache_dir or _default_cache_dir

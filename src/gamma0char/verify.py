@@ -23,7 +23,7 @@ from .charformula import (
 )
 from .dirichlet import divisors, enumerate_characters
 from .exact import CircleExponent, integer_rank
-from .farey import GeneratorSet, generators
+from .farey import GeneratorSet, closed_form_counts, generators
 from .kernels import psi4
 from .sampling import random_coprime_pair, random_gamma0, random_sl2_entries
 from .sl2 import NEG_I, T, Gamma0Element, chi_t, mul4, omega4, psi_conjugate
@@ -103,10 +103,12 @@ def verify_surjectivity(n: int) -> dict:
     weights can steer the free generators to any rational targets, and (ii)
     the (Dirichlet character, r1) pairs reach every admissible assignment of
     values at -I and the elliptic generators, a group of order
-    2**(e2 + 1) * 3**e3.  At level 1 the twelve characters of SL2(Z) are
-    fixed by their values at T, so it is surjective iff those twelve values
-    are distinct.  The report's "verdict" is "Surjective" or
-    "NotSurjective"; either is a completed check, so its "ok" is true.
+    2**(e2 + 1) * 3**e3.  (r, e2, e3) are ``closed_form_counts``, the rank
+    ``sigma_rank``; generators are built for (ii) only, after a full rank.
+    At level 1 the twelve characters of SL2(Z) are fixed by their values at
+    T, so it is surjective iff those twelve values are distinct.  The
+    report's "verdict" is "Surjective" or "NotSurjective"; either is a
+    completed check, so its "ok" is true.
     """
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
@@ -115,15 +117,14 @@ def verify_surjectivity(n: int) -> dict:
         evidence = {"characters": 12, "distinct_values_at_T": [str(v) for v in values]}
         verdict = "Surjective" if len(set(values)) == 12 else "NotSurjective"
         return {"ok": True, "level": 1, "verdict": verdict, "evidence": evidence}
-    gens = generators(n)
-    r, e2, e3 = gens.counts()
+    r, e2, e3 = closed_form_counts(n)
     t_minus_1 = len(divisors(n)) - 1
-    rank = integer_rank(sigma_matrix(n).entries)
+    rank = sigma_rank(n)
     evidence = {"r": r, "e2": e2, "e3": e3, "t_minus_1": t_minus_1, "rank": rank}
     evidence["r_exceeds_t_minus_1"] = r > t_minus_1
     if rank < r:
         return {"ok": True, "level": n, "verdict": "NotSurjective", "evidence": evidence}
-    image_size = len(_torsion_image(n, gens))
+    image_size = len(_torsion_image(n, generators(n)))
     evidence["torsion_tuples_matched"] = image_size
     verdict = "Surjective" if image_size == 2 ** (e2 + 1) * 3**e3 else "NotSurjective"
     return {"ok": True, "level": n, "verdict": verdict, "evidence": evidence}
@@ -212,12 +213,24 @@ def cusp_parabolics(n: int):
         yield 1 - c * w, w, -c * c * w, 1 + c * w
 
 
-def _parabolic_rank(n: int) -> int:
-    """Rank of the sigma rows of ``cusp_parabolics(n)``, read through psi4.
+def sigma_rank(n: int) -> int:
+    """Rank of the sigma matrix of Gamma0(n), n >= 2: t - 1, t = d(n).
 
-    Every element is checked to lie in Gamma0(n) before any sigma is read:
-    n | c here, and the determinant by ``psi4``; ArithmeticError otherwise.
+    sigma = (sigma_l) for 1 < l | n is a homomorphism Gamma0(n) -> Z^(t-1)
+    that kills -I and the elliptic generators, so the sigma values of any
+    elements of Gamma0(n) lie in the row lattice of the sigma matrix, of
+    rank at most t - 1.  The rows of ``cusp_parabolics(n)`` have rank t - 1:
+    psi is Rademacher's class invariant Psi on trace-2 matrices, so
+    sigma_l(P_c) = w_c * (1 - G[c, l]) with G = [gcd(c, l)^2 / l], whose
+    column 1 is all ones; G is the Kronecker product over p^e || n of blocks
+    [p^(2 min(i, j) - j)] of determinant (p^2 - 1)^e * p^((e^2 - 3e) / 2).
+    Each P_c is checked to lie in Gamma0(n) before any sigma is read: n | c
+    here, the determinant by psi4; ArithmeticError otherwise.  Short rows,
+    which only a fault in psi4, psi_conjugate or cusp_parabolics can give,
+    fall back to ``integer_rank`` of the full ``sigma_matrix``.
     """
+    if n < 2:
+        raise ValueError(f"level must be at least 2, got {n}")
     heads = []
     for a, b, c, d in cusp_parabolics(n):
         if c % n:
@@ -227,28 +240,16 @@ def _parabolic_rank(n: int) -> int:
         heads.append((a, b, c, d, psi4(a, b, c, d)))
     cols = divisors(n)[1:]
     rows = [[p - psi_conjugate(a, b, c, d, l) for l in cols] for a, b, c, d, p in heads]
-    return integer_rank(rows)
+    rank = integer_rank(rows)
+    return rank if rank == len(cols) else integer_rank(sigma_matrix(n).entries)
 
 
 def verify_conjecture3(max_n: int) -> dict:
-    """rank of the sigma matrix == t - 1 for 2 <= N <= max_n.
-
-    Proof at each level from t elements of Gamma0(N), the cusp parabolics:
-    sigma = (sigma_l) for 1 < l | N is a homomorphism Gamma0(N) -> Z^(t-1).
-    Gamma0(N) is generated by -I and its elliptic and free generators, and
-    sigma kills the first two, so the sigma values of any elements of
-    Gamma0(N) lie in the row lattice of the sigma matrix.  The rank of the
-    matrix is thus at least the rank of those values and at most its t - 1
-    columns.  Rows of rank t - 1 prove the rank is t - 1.  A level
-    whose parabolic rows fall short falls back to ``integer_rank`` of the
-    full ``sigma_matrix``, and a short rank there is the mismatch record.
-    """
+    """rank of the sigma matrix == t - 1 for 2 <= N <= max_n, by ``sigma_rank``."""
 
     def check(n):
         expected = len(divisors(n)) - 1
-        rank = _parabolic_rank(n)
-        if rank < expected:
-            rank = integer_rank(sigma_matrix(n).entries)
+        rank = sigma_rank(n)
         yield None if rank == expected else {"N": n, "rank": rank, "t_minus_1": expected}
 
     return _scan(max_n, check)

@@ -10,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from gamma0char import farey
+from gamma0char import verify as verify_mod
 from gamma0char.cli import main
+from gamma0char.dirichlet import divisors
+from gamma0char.farey import closed_form_counts
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +168,12 @@ PINNED_STDOUT = [
         '"level": 36}\n',
     ),
     ("rank --level 36", '{"level": 36, "rank": 8, "rows": 13, "t_minus_1": 8}\n'),
+    ("rank --level 20000", '{"level": 20000, "rank": 29, "rows": 6001, "t_minus_1": 29}\n'),
+    (
+        "verify surjectivity --level 20000",
+        '{"evidence": {"e2": 0, "e3": 0, "r": 6001, "r_exceeds_t_minus_1": true, "rank": 29,'
+        ' "t_minus_1": 29}, "level": 20000, "ok": true, "verdict": "NotSurjective"}\n',
+    ),
     (
         "eval-char --level 12 --chi 3 --r1 5 --rl 2=1/3,3=-1/4,4=2/5,6=1/6,12=-7/12 --matrix 5,2,12,5",
         '{"value": "43/60"}\n',
@@ -234,6 +244,59 @@ PINNED_STDOUT = [
 def test_pinned_stdout_bytes(capsys, argv, expected):
     code, out = run_cli(capsys, *argv.split())
     assert (code, out) == (0, expected)
+
+
+# recorded when rank and surjectivity built the Farey symbol and sigma matrix
+FREE_BOUND_STDOUT = {
+    9: (
+        '{"level": 9, "rank": 2, "rows": 3, "t_minus_1": 2}\n',
+        '{"evidence": {"e2": 0, "e3": 0, "r": 3, "r_exceeds_t_minus_1": true, "rank": 2,'
+        ' "t_minus_1": 2}, "level": 9, "ok": true, "verdict": "NotSurjective"}\n',
+    ),
+    5040: (
+        '{"level": 5040, "rank": 59, "rows": 2305, "t_minus_1": 59}\n',
+        '{"evidence": {"e2": 0, "e3": 0, "r": 2305, "r_exceeds_t_minus_1": true, "rank": 59,'
+        ' "t_minus_1": 59}, "level": 5040, "ok": true, "verdict": "NotSurjective"}\n',
+    ),
+}
+
+
+def _refuse(*args):
+    raise AssertionError(f"called with {args}")
+
+
+@pytest.mark.parametrize("level", sorted(FREE_BOUND_STDOUT))
+def test_rank_and_surjectivity_above_the_free_bound_build_nothing(
+    capsys, monkeypatch, tmp_path, level
+):
+    # r > t - 1: the closed-form counts and the cusp-parabolic rank decide
+    # both reports, with no Farey symbol, cache read or sigma matrix
+    monkeypatch.setattr(farey, "_memo", {})
+    monkeypatch.setattr(farey, "farey_symbol", _refuse)
+    monkeypatch.setattr(farey, "load_cached_generators", _refuse)
+    monkeypatch.setattr(verify_mod, "sigma_matrix", _refuse)
+    for argv, expected in zip(("rank", "verify surjectivity"), FREE_BOUND_STDOUT[level]):
+        cmd = ["--cache-dir", str(tmp_path), *argv.split(), "--level", str(level)]
+        assert run_cli(capsys, *cmd) == (0, expected), argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rank_at_a_level_far_beyond_any_farey_symbol(capsys, monkeypatch):
+    # the CI pins these bytes; here rows and t - 1 come from the closed forms
+    n = 10**9
+    monkeypatch.setattr(farey, "farey_symbol", _refuse)
+    monkeypatch.setattr(verify_mod, "sigma_matrix", _refuse)
+    t = len(divisors(n))
+    report = {"level": n, "rank": t - 1, "rows": closed_form_counts(n)[0], "t_minus_1": t - 1}
+    assert run_cli(capsys, "rank", "--level", str(n)) == (0, json.dumps(report) + "\n")
+    assert report["rows"] == 300000001 and t == 100
+
+
+@pytest.mark.parametrize("level", ["1", "0", "-3"])
+def test_rank_below_level_two_exits_two(capsys, level):
+    assert main(["rank", "--level", level]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: level must be at least 2, got {level}\n")
 
 
 def test_check_seed_overrides_the_global_seed(capsys):

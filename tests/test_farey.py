@@ -17,6 +17,7 @@ import pytest
 
 from gamma0char import farey
 from gamma0char.charformula import KERNEL_LEVELS
+from gamma0char.cli import main
 from gamma0char.dirichlet import unit_group_structure
 from gamma0char.farey import (
     EVEN,
@@ -421,6 +422,32 @@ def test_generators_memo_hit_makes_no_file_system_call(tmp_path, monkeypatch):
         assert generators(17, str(tmp_path)) is loaded
     assert touched == []
     assert loaded.free == gens.free
+
+
+def test_level_below_one_makes_no_file_system_call(tmp_path, monkeypatch, capsys):
+    # a log of several records, none of which a level below 1 may index
+    for n in (5, 6, 7):
+        farey._memo.clear()
+        generators(n, str(tmp_path))
+    log = tmp_path / "gamma0-generators.log"
+    before = log.read_bytes()
+    touched = []
+
+    class CountingOs:
+        def __getattr__(self, name):
+            touched.append(name)
+            return getattr(os, name)
+
+    monkeypatch.setattr(farey, "os", CountingOs())
+    monkeypatch.setattr(farey, "_log_index", {})
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=rf"^level must be positive, got {n}$"):
+            generators(n, str(tmp_path))
+    assert touched == [] and farey._log_index == {}
+    assert main(["--cache-dir", str(tmp_path), "generators", "--level", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: level must be positive, got 0\n"
+    assert touched == [] and farey._log_index == {} and log.read_bytes() == before
 
 
 def test_level_memoised_without_a_directory_is_written_with_one(tmp_path):

@@ -29,8 +29,8 @@ from gamma0char.farey import (
     save_cached_generators,
 )
 from gamma0char.kernels import psi4
-from gamma0char.sampling import random_sl2
-from gamma0char.sl2 import I, NEG_I, Gamma0Element, UniModular, omega, psi, sigma
+from gamma0char.sampling import random_sl2, random_sl2_entries
+from gamma0char.sl2 import I, NEG_I, T, Gamma0Element, UniModular, mul4, omega, pow4, psi, sigma
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -81,6 +81,15 @@ def test_composition_law_on_random_words(seed, len_x, len_y):
     rng = Random(seed)
     x, y = random_sl2(rng, len_x), random_sl2(rng, len_y)
     assert psi(x * y) == psi(x) + psi(y) + omega(x, y)
+
+
+@PROPERTY
+@given(st.integers(0, 2**64), st.integers(-50, 50))
+def test_psi4_of_a_conjugate_of_t_power_is_the_power(seed, k):
+    # psi is a class invariant on trace-2 matrices, with psi(T^k) = k: the
+    # lemma behind sigma_l(P_c) = w - w*gcd(c, l)^2/l in verify.sigma_rank
+    a, b, c, d = m = random_sl2_entries(Random(seed))
+    assert psi4(*mul4(mul4(m, pow4(T.entries(), k)), (d, -b, -c, a))) == k
 
 
 # small entries make rank-deficient matrices common; huge ones test growth

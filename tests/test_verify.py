@@ -245,7 +245,7 @@ def test_conjecture3_certificate_matches_the_frozen_full_matrix_scan(monkeypatch
     ranks = {}
     expected = parent_verify_conjecture3(600, ranks)
     for n in range(2, 601):
-        assert verify_mod._parabolic_rank(n) == ranks[n] == len(divisors(n)) - 1, n
+        assert verify_mod.sigma_rank(n) == ranks[n] == len(divisors(n)) - 1, n
 
     # no level falls back, so the scan builds no sigma matrix and no Farey symbol
     def build(n):
@@ -295,6 +295,45 @@ def test_conjecture3_reports_a_short_rank_after_the_fallback(monkeypatch):
             {"N": 6, "rank": 1, "t_minus_1": 3},
         ],
     }
+
+
+# stdout of rank and surjectivity as the full sigma matrix gave it, recorded
+# before sigma_rank
+FULL_MATRIX_STDOUT = [
+    ("rank --level 12", '{"level": 12, "rank": 5, "rows": 5, "t_minus_1": 5}\n'),
+    ("rank --level 36", '{"level": 36, "rank": 8, "rows": 13, "t_minus_1": 8}\n'),
+    (
+        "verify surjectivity --level 9",
+        '{"evidence": {"e2": 0, "e3": 0, "r": 3, "r_exceeds_t_minus_1": true, "rank": 2,'
+        ' "t_minus_1": 2}, "level": 9, "ok": true, "verdict": "NotSurjective"}\n',
+    ),
+    (
+        "verify surjectivity --level 12",
+        '{"evidence": {"e2": 0, "e3": 0, "r": 5, "r_exceeds_t_minus_1": false, "rank": 5,'
+        ' "t_minus_1": 5, "torsion_tuples_matched": 2}, "level": 12, "ok": true,'
+        ' "verdict": "Surjective"}\n',
+    ),
+    (
+        "verify surjectivity --level 60",
+        '{"evidence": {"e2": 0, "e3": 0, "r": 25, "r_exceeds_t_minus_1": true, "rank": 11,'
+        ' "t_minus_1": 11}, "level": 60, "ok": true, "verdict": "NotSurjective"}\n',
+    ),
+]
+
+
+def test_rank_and_surjectivity_fall_back_to_the_full_matrix(monkeypatch, capsys):
+    fallbacks = []
+
+    def counted(n):
+        fallbacks.append(n)
+        return sigma_matrix(n)
+
+    monkeypatch.setattr(verify_mod, "cusp_parabolics", t_conjugates)
+    monkeypatch.setattr(verify_mod, "sigma_matrix", counted)
+    for argv, expected in FULL_MATRIX_STDOUT:
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == expected, argv
+    assert fallbacks == [12, 36, 9, 12, 60]
 
 
 @pytest.mark.parametrize(
@@ -352,13 +391,57 @@ def test_gcd_square_matrix_per_prime_block_determinant():
     # blocks [p^(2 min(i, j) - j)], 0 <= i, j <= e, one per p^e exactly
     # dividing N; column 1 of G is all ones and the sigma columns are
     # G_1 - G_l with row c scaled by w_c > 0, so an invertible G gives the
-    # certificate rank t - 1
-    for p in (2, 3, 5, 7):
-        for e in range(6):
+    # certificate rank t - 1.  A block is the min-matrix [p^(2 min(i, j))],
+    # of determinant (p^2 - 1)^e * p^(e^2 - e), times diag(p^-j)
+    for p in (2, 3, 5, 7, 11, 13):
+        for e in range(7):
             span = range(e + 1)
             block = [[Fraction(p) ** (2 * min(i, j) - j) for j in span] for i in span]
-            expected = (p * p - 1) ** e * Fraction(p) ** ((e - 1) * (e - 2) // 2 - 1)
+            expected = (p * p - 1) ** e * Fraction(p) ** ((e * e - 3 * e) // 2)
             assert _fraction_determinant(block) == expected, (p, e)
+
+
+def test_translation_number_of_each_parabolic_conjugate():
+    # the l-conjugate (a, b*l; c/l, d) of P_c is I + w*(-c, l; -c^2/l, c),
+    # conjugate to T^k with k = gcd(w*l, c^2*w/l) = w*gcd(c, l)^2/l, so
+    # psi of it is k and sigma_l(P_c) = w - k
+    for n in range(2, 2001):
+        divs = divisors(n)
+        for c in divs:
+            w = n // math.gcd(n, c * c)
+            for l in divs:
+                assert c * c * w % l == 0, (n, c, l)
+                assert math.gcd(w * l, c * c * w // l) * l == w * math.gcd(c, l) ** 2, (n, c, l)
+
+
+def test_sigma_rank_rejects_levels_below_two(monkeypatch):
+    def build(n):
+        raise AssertionError(f"read level {n}")
+
+    monkeypatch.setattr(verify_mod, "cusp_parabolics", build)
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=rf"^level must be at least 2, got {n}$"):
+            verify_mod.sigma_rank(n)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_full_rank_surjectivity_builds_one_generator_set(monkeypatch, n):
+    # r = t - 1 here, so the torsion image is counted, from one generator set
+    built = []
+    build = farey.build_generators
+
+    def counted(level):
+        built.append(level)
+        return build(level)
+
+    def refuse(level):
+        raise AssertionError(f"read the sigma matrix of level {level}")
+
+    monkeypatch.setattr(farey, "_memo", {})
+    monkeypatch.setattr(farey, "build_generators", counted)
+    monkeypatch.setattr(verify_mod, "sigma_matrix", refuse)
+    report = verify_surjectivity(n)
+    assert report["verdict"] == "Surjective" and built == [n]
 
 
 def test_table2_report():
